@@ -1,103 +1,22 @@
-"""Hot coefficient-space kernels with a numba fast path and a numpy fallback.
-
-The backend is chosen once at import time from the ``SPINREP_BACKEND``
-environment variable: ``numba`` (force JIT, raise if unavailable), ``numpy``
-(pure numpy, never import numba) or ``auto``/unset (numba when importable).
-Both implementations are always exposed for testing and benchmarking.
-"""
+"""Hot coefficient-space kernels: the wedge product and the metric product."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ._tables import NBLADES, WEDGE_SIGN, WEDGE_TENSOR
-
-_ENV_VAR = "SPINREP_BACKEND"
+from ._tables import WEDGE_TENSOR
 
 
-def _requested_backend() -> str:
-    value = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if value in ("", "auto"):
-        return "auto"
-    if value in ("numba", "numpy"):
-        return value
-    raise RuntimeError(f"{_ENV_VAR} must be 'numba', 'numpy' or 'auto', got {value!r}")
-
-
-def wedge16_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wedge product of two dense 16-coefficient vectors."""
     return np.einsum("i,j,ijk->k", a, b, WEDGE_TENSOR)
 
 
-def mul16_numpy(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+def mul16(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Bilinear product with per-metric structure tensor ``tensor[i, k, j]``."""
     return np.einsum("i,ikj,j->k", a, tensor, b)
 
 
-_numba_backend = None
-_requested = _requested_backend()
-
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _wedge16_jit(a, b, sign):  # pragma: no cover - exercised via wrapper
-            out = np.zeros(NBLADES, dtype=np.complex128)
-            for i in range(NBLADES):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(NBLADES):
-                    s = sign[i, j]
-                    if s != 0:
-                        out[i | j] += s * ai * b[j]
-            return out
-
-        @njit(cache=True)
-        def _mul16_jit(a, b, tensor):  # pragma: no cover - exercised via wrapper
-            out = np.zeros(NBLADES, dtype=np.complex128)
-            for i in range(NBLADES):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for k in range(NBLADES):
-                    acc = 0.0 + 0.0j
-                    for j in range(NBLADES):
-                        acc += tensor[i, k, j] * b[j]
-                    out[k] += ai * acc
-            return out
-
-        def wedge16_numba(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return _wedge16_jit(
-                np.ascontiguousarray(a, dtype=np.complex128),
-                np.ascontiguousarray(b, dtype=np.complex128),
-                WEDGE_SIGN,
-            )
-
-        def mul16_numba(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-            return _mul16_jit(
-                np.ascontiguousarray(a, dtype=np.complex128),
-                np.ascontiguousarray(b, dtype=np.complex128),
-                tensor,
-            )
-
-        _numba_backend = (wedge16_numba, mul16_numba)
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _numba_backend = None
-
-if _numba_backend is not None:
-    BACKEND = "numba"
-    wedge16, mul16 = _numba_backend
-else:
-    BACKEND = "numpy"
-    wedge16, mul16 = wedge16_numpy, mul16_numpy
-
-
 def backend_name() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

@@ -166,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _format_sigma(sigma: tr.SpinElement) -> list[str]:
-    lines = ["conjugator coefficients (generator-product basis):"]
+    lines = ["conjugator coefficients (antisymmetrised blade basis):"]
     for b in range(NBLADES):
         c = sigma.element.coeffs[b]
         if abs(c) > 1e-12:

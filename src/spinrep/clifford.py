@@ -1,20 +1,15 @@
 """Abstract 16-dimensional Clifford algebra of a symmetric nondegenerate metric.
 
-Elements are stored as 16 complex coefficients in the ordered-generator-product
-basis (blade mask m with bits i1 < ... < ik stands for the product of the k
-generators in ascending order; the empty mask is the algebra unit).  The
-geometric product is realized through the generator operators of
-:mod:`spinrep.grassmann`: products of those operators represent the abstract
-basis elements faithfully, so the structure constants are read off from the
-operator algebra.
-
-For a diagonal metric the operator image of a basis element applied to the
-scalar 1 returns exactly that basis blade, and the product is the plain
-"apply the operator stack, read the coefficients back" construction.  For a
-non-diagonal metric the readback must go through the (invertible,
-grade-unitriangular) symbol matrix built from those images, otherwise the
-product would lose associativity; this module always applies that correction,
-which is the identity in the diagonal case.
+Elements are stored as 16 complex coefficients in the antisymmetrised blade
+basis: blade mask m with bits i1 < ... < ik stands for the Chevalley image of
+e_i1 ^ ... ^ e_ik, the average over all orderings of the k generators,
+weighted by the sign of the ordering (the empty mask is the algebra unit).
+This identification of the exterior algebra with the Clifford algebra is
+valid for every metric (Chevalley, *The Algebraic Theory of Spinors*, 1954),
+and in it each blade operator applied to the scalar 1 returns exactly its
+blade.  The geometric product is realized through the generator operators of
+:mod:`spinrep.grassmann`: the structure tensor is the stack of the 16 blade
+operators, built from the generator operators by :func:`_blade_products`.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from .grassmann import Metric, _gamma_ops_cached
 
 @dataclass(frozen=True)
 class CliffordElement:
-    """Element of the Clifford algebra in the ordered-product basis."""
+    """Element of the Clifford algebra in the antisymmetrised blade basis."""
 
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(NBLADES, complex))
 
@@ -99,44 +94,38 @@ class CliffordElement:
         return " + ".join(terms) if terms else "0"
 
 
+def _blade_products(gens: np.ndarray) -> np.ndarray:
+    """The 16 antisymmetrised products of four generator matrices, unit first.
+
+    Blade m is built from its lowest factor e_i and the rest w, of grade k:
+    q(e_i ^ w) = (gens[i] q(w) + (-1)^k q(w) gens[i]) / 2.  Nothing here
+    depends on the metric; the generators carry it.
+    """
+    out = np.empty((NBLADES,) + gens.shape[1:], dtype=gens.dtype)
+    out[0] = np.eye(gens.shape[1])
+    for mask in range(1, NBLADES):
+        i = BLADE_BITS[mask][0]
+        w = out[mask ^ (1 << i)]
+        sign = 1.0 if GRADE[mask] % 2 else -1.0
+        out[mask] = 0.5 * (gens[i] @ w + sign * (w @ gens[i]))
+    return out
+
+
 @lru_cache(maxsize=64)
-def _structure_cached(gkey: bytes, det_tol: float):
-    """Per-metric operator stack, symbol matrix and product tensor."""
-    gens = _gamma_ops_cached(gkey, det_tol)
-    ops = np.empty((NBLADES, NBLADES, NBLADES), dtype=np.complex128)
-    for mask in range(NBLADES):
-        m = np.eye(NBLADES, dtype=np.complex128)
-        for i in BLADE_BITS[mask]:
-            m = m @ gens[i]
-        ops[mask] = m
-    # symbol matrix: operator images of the unit, one column per basis element
-    unit = np.zeros(NBLADES, dtype=np.complex128)
-    unit[0] = 1.0
-    phi = ops @ unit  # (NBLADES, NBLADES): row mask -> image vector
-    phi = phi.T.copy()
-    phi_inv = np.linalg.inv(phi)
-    # structure tensor: tensor[i] is left multiplication by basis element i
-    tensor = np.real(np.einsum("kl,ilm,mj->ikj", phi_inv, ops, phi)).copy()
-    ops.flags.writeable = False
-    phi.flags.writeable = False
-    phi_inv.flags.writeable = False
+def _structure_cached(gkey: bytes, det_tol: float) -> np.ndarray:
+    """Real structure tensor: the stack of the 16 blade operators."""
+    tensor = _blade_products(_gamma_ops_cached(gkey, det_tol).real)
     tensor.flags.writeable = False
-    return ops, phi, phi_inv, tensor
-
-
-def _structure(g: Metric):
-    g.require_nondegenerate()
-    return _structure_cached(g.key(), g.det_tol)
-
-
-def basis_operators(g: Metric) -> np.ndarray:
-    """Stack of the 16 operator images of the basis elements (16x16 each)."""
-    return _structure(g)[0]
+    return tensor
 
 
 def product_tensor(g: Metric) -> np.ndarray:
-    """Real structure tensor t with (a b)_k = sum_ij t[i, k, j] a_i b_j."""
-    return _structure(g)[3]
+    """Real structure tensor t with (a b)_k = sum_ij t[i, k, j] a_i b_j.
+
+    t[i] is the operator of left multiplication by basis blade i.
+    """
+    g.require_nondegenerate()
+    return _structure_cached(g.key(), g.det_tol)
 
 
 def geometric_product(a: CliffordElement, b: CliffordElement, g: Metric) -> CliffordElement:

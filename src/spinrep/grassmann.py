@@ -177,18 +177,24 @@ def wedge(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
 # ---------------------------------------------------------------------------
 # boundary / coboundary operators as 16x16 matrices on coefficient vectors
 
+def _sign_matrix(w: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Sum over generators i of w[i] times generator i entering or leaving each blade.
+
+    ``table[i, b]`` is the sign of that move on blade b, which lands on blade
+    b ^ bit(i); the table is zero where the move does not apply.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    m = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
+    cols = np.arange(NBLADES)
+    for i in range(DIM):
+        if w[i] != 0:
+            m[cols ^ (1 << i), cols] += w[i] * table[i]
+    return m
+
+
 def delta_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix of left exterior multiplication by the vector ``v``."""
-    v = np.asarray(v, dtype=np.complex128)
-    m = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
-    for i in range(DIM):
-        if v[i] == 0:
-            continue
-        bit = 1 << i
-        for b in range(NBLADES):
-            if not b & bit:
-                m[b | bit, b] += v[i] * INSERT_LEFT_SIGN[i, b]
-    return m
+    return _sign_matrix(v, INSERT_LEFT_SIGN)
 
 
 def delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
@@ -199,45 +205,18 @@ def delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     operators square to the metric.
     """
     g.require_nondegenerate()
-    w = g.g @ np.asarray(v, dtype=np.complex128)
-    m = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
-    for i in range(DIM):
-        if w[i] == 0:
-            continue
-        bit = 1 << i
-        for b in range(NBLADES):
-            if b & bit:
-                m[b & ~bit, b] += w[i] * REMOVE_LEFT_SIGN[i, b]
-    return m
+    return _sign_matrix(g.g @ np.asarray(v, dtype=np.complex128), REMOVE_LEFT_SIGN)
 
 
 def right_delta_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix of right exterior multiplication: omega -> omega ^ v."""
-    v = np.asarray(v, dtype=np.complex128)
-    m = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
-    for i in range(DIM):
-        if v[i] == 0:
-            continue
-        bit = 1 << i
-        for b in range(NBLADES):
-            if not b & bit:
-                m[b | bit, b] += v[i] * INSERT_RIGHT_SIGN[i, b]
-    return m
+    return _sign_matrix(v, INSERT_RIGHT_SIGN)
 
 
 def right_delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     """Matrix of the metric contraction by ``v`` acting from the right."""
     g.require_nondegenerate()
-    w = g.g @ np.asarray(v, dtype=np.complex128)
-    m = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
-    for i in range(DIM):
-        if w[i] == 0:
-            continue
-        bit = 1 << i
-        for b in range(NBLADES):
-            if b & bit:
-                m[b & ~bit, b] += w[i] * REMOVE_RIGHT_SIGN[i, b]
-    return m
+    return _sign_matrix(g.g @ np.asarray(v, dtype=np.complex128), REMOVE_RIGHT_SIGN)
 
 
 def delta(v: np.ndarray, a: GrassmannElement) -> GrassmannElement:
@@ -260,26 +239,21 @@ def right_delta_star(v: np.ndarray, a: GrassmannElement, g: Metric) -> Grassmann
     return GrassmannElement(right_delta_star_matrix(v, g) @ a.coeffs)
 
 
-@lru_cache(maxsize=128)
-def _gamma_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
+def _generator_ops(gkey: bytes, det_tol: float, raise_op, lower_op) -> np.ndarray:
     g = Metric(np.frombuffer(gkey, dtype=np.float64).reshape(DIM, DIM), det_tol)
-    basis = np.eye(DIM)
-    ops = np.empty((DIM, NBLADES, NBLADES), dtype=np.complex128)
-    for i in range(DIM):
-        ops[i] = delta_matrix(basis[i]) + delta_star_matrix(basis[i], g)
+    ops = np.stack([raise_op(e) + lower_op(e, g) for e in np.eye(DIM)])
     ops.flags.writeable = False
     return ops
+
+
+@lru_cache(maxsize=128)
+def _gamma_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
+    return _generator_ops(gkey, det_tol, delta_matrix, delta_star_matrix)
 
 
 @lru_cache(maxsize=128)
 def _right_gamma_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
-    g = Metric(np.frombuffer(gkey, dtype=np.float64).reshape(DIM, DIM), det_tol)
-    basis = np.eye(DIM)
-    ops = np.empty((DIM, NBLADES, NBLADES), dtype=np.complex128)
-    for i in range(DIM):
-        ops[i] = right_delta_matrix(basis[i]) + right_delta_star_matrix(basis[i], g)
-    ops.flags.writeable = False
-    return ops
+    return _generator_ops(gkey, det_tol, right_delta_matrix, right_delta_star_matrix)
 
 
 def gamma_op(i: int, g: Metric) -> np.ndarray:
@@ -324,7 +298,8 @@ def _bits(mask: int):
 def _hodge_matrix_cached(gkey: bytes, det_tol: float, osign: int) -> np.ndarray:
     g = Metric(np.frombuffer(gkey, dtype=np.float64).reshape(DIM, DIM), det_tol)
     g.require_nondegenerate()
-    scale = osign * np.sqrt(abs(g.det))
+    # the unit volume of vectors is e_0123 / sqrt|det g|
+    scale = osign / np.sqrt(abs(g.det))
     h = np.zeros((NBLADES, NBLADES), dtype=np.float64)
     for b in range(NBLADES):
         k = GRADE[b]

@@ -3,7 +3,10 @@
 Contains the canonical coefficientwise identification of the two blade-indexed
 bases, the left and right regular representations acting on the 16-dimensional
 coefficient space, a concrete Dirac-matrix basis for any metric of Lorentz
-signature, and the wedge product transported onto 4x4 matrices.
+signature, and the wedge product transported onto 4x4 matrices.  Every
+blade-indexed stack here (left and right operators, 4x4 blade matrices) is
+built by :func:`spinrep.clifford._blade_products` in the antisymmetrised
+basis, so all of them hold for every metric.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from ._tables import BLADE_BITS, DIM, NBLADES
-from .clifford import CliffordElement, basis_operators
+from ._tables import DIM, NBLADES
+from .clifford import CliffordElement, _blade_products, product_tensor
 from .errors import NoRealFactorization
 from .grassmann import GrassmannElement, Metric, _right_gamma_ops_cached
 
@@ -106,7 +109,11 @@ def dirac_matrices(g: Metric) -> GammaBasis:
 
 
 def to_clifford(a: GrassmannElement) -> CliffordElement:
-    """Canonical linear map: blade coefficients reread in the ordered-product basis."""
+    """Canonical linear map: blade coefficients reread in the Clifford basis.
+
+    The Clifford basis is the antisymmetrised one, so this is the Chevalley
+    identification of the exterior and Clifford algebras for every metric.
+    """
     return CliffordElement(a.coeffs)
 
 
@@ -118,21 +125,18 @@ def to_grassmann(a: CliffordElement) -> GrassmannElement:
 def left_rep(L: CliffordElement, g: Metric) -> np.ndarray:
     """Operator of left multiplication by ``L`` on the 16-dim coefficient space.
 
-    Built by composing the generator operators along each basis product and
-    extending linearly; an algebra homomorphism.
+    The blade operators are the slices of the product tensor, built from the
+    generator operators; extended linearly, an algebra homomorphism.
     """
-    return np.einsum("i,ikl->kl", L.coeffs, basis_operators(g))
+    return np.einsum("i,ikl->kl", L.coeffs, product_tensor(g))
 
 
 @lru_cache(maxsize=64)
 def _right_blade_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
-    gens = _right_gamma_ops_cached(gkey, det_tol)
-    ops = np.empty((NBLADES, NBLADES, NBLADES), dtype=np.complex128)
-    for mask in range(NBLADES):
-        m = np.eye(NBLADES, dtype=np.complex128)
-        for i in BLADE_BITS[mask]:
-            m = gens[i] @ m  # earliest factor multiplies first from the right
-        ops[mask] = m
+    # right multiplication reverses products, so the transposed operators
+    # compose like the left ones
+    gens = _right_gamma_ops_cached(gkey, det_tol).real.transpose(0, 2, 1)
+    ops = np.ascontiguousarray(_blade_products(gens).transpose(0, 2, 1))
     ops.flags.writeable = False
     return ops
 
@@ -145,13 +149,7 @@ def right_rep(R: CliffordElement, g: Metric) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _matrix_basis_cached(bkey: bytes):
-    gammas = np.frombuffer(bkey, dtype=np.complex128).reshape(DIM, 4, 4)
-    stack = np.empty((NBLADES, 4, 4), dtype=np.complex128)
-    for mask in range(NBLADES):
-        m = np.eye(4, dtype=np.complex128)
-        for i in BLADE_BITS[mask]:
-            m = m @ gammas[i]
-        stack[mask] = m
+    stack = _blade_products(np.frombuffer(bkey, dtype=np.complex128).reshape(DIM, 4, 4))
     flat = stack.reshape(NBLADES, 16).T  # columns are vectorized basis matrices
     flat_inv = np.linalg.inv(flat)
     stack.flags.writeable = False
@@ -160,17 +158,17 @@ def _matrix_basis_cached(bkey: bytes):
 
 
 def gamma_blade_matrices(basis: GammaBasis) -> np.ndarray:
-    """Stack of the 16 ordered generator-product matrices (unit first)."""
+    """Stack of the 16 antisymmetrised generator-product matrices (unit first)."""
     return _matrix_basis_cached(basis.key())[0]
 
 
 def clifford_to_matrix(a: CliffordElement, basis: GammaBasis) -> np.ndarray:
-    """Substitute the concrete matrices into the ordered-product basis."""
+    """Substitute the concrete matrices into the antisymmetrised blade basis."""
     return np.einsum("i,ijk->jk", a.coeffs, gamma_blade_matrices(basis))
 
 
 def matrix_to_clifford(m: np.ndarray, basis: GammaBasis) -> CliffordElement:
-    """Decompose a 4x4 matrix over the 16 generator-product matrices."""
+    """Decompose a 4x4 matrix over the 16 blade matrices."""
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")

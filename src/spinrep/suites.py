@@ -23,7 +23,7 @@ from . import grassmann as gr
 from . import isomorphisms as iso
 from . import transforms as tr
 from ._tables import BLADE_BITS, GRADE, NBLADES
-from .report import FAIL, INFO, PASS, CheckResult
+from .report import FAIL, PASS, CheckResult
 
 
 @dataclass
@@ -46,27 +46,9 @@ class SuiteContext:
     def basis(self) -> iso.GammaBasis:
         return iso.dirac_matrices(self.metric)
 
-    @property
-    def orthogonal_generators(self) -> bool:
-        """Whether distinct generators are orthogonal (the metric is diagonal).
 
-        Several identities tie the fixed ordered-product basis to the metric
-        and hold exactly only in this case: the coefficientwise canonical map
-        intertwines multiplication, grade subspaces are conjugation-stable,
-        and the per-grade sign flip is the reversal anti-automorphism.  For a
-        non-diagonal metric the corresponding checks are reported as
-        informational with their residual recorded.
-        """
-        off = self.metric.g - np.diag(np.diagonal(self.metric.g))
-        return float(np.abs(off).max()) < 1e-12
-
-
-_NEEDS_ORTHOGONAL = "identity requires orthogonal generators; residual recorded"
-
-
-def _result(suite, name, ok, residual=None, samples=0, detail="", inputs=None, info=False):
-    status = INFO if info else (PASS if ok else FAIL)
-    return CheckResult(suite, name, status, residual=residual, samples=samples,
+def _result(suite, name, ok, residual=None, samples=0, detail="", inputs=None):
+    return CheckResult(suite, name, PASS if ok else FAIL, residual=residual, samples=samples,
                        detail=detail, inputs=inputs)
 
 
@@ -255,9 +237,6 @@ def _check_reversion(ctx: SuiteContext) -> CheckResult:
         lhs = cl.reversion(cl.geometric_product(a, b, g))
         rhs = cl.geometric_product(cl.reversion(b), cl.reversion(a), g)
         worst = max(worst, float(np.abs(lhs.coeffs - rhs.coeffs).max()))
-    if not ctx.orthogonal_generators:
-        return _result("clifford", "reversion_antiautomorphism", False, worst, n,
-                       _NEEDS_ORTHOGONAL, info=True)
     return _result("clifford", "reversion_antiautomorphism", worst < tol, worst, n, f"tol {tol:g}")
 
 
@@ -301,9 +280,6 @@ def _check_left_intertwining(ctx: SuiteContext) -> CheckResult:
         lhs = cl.geometric_product(L, M, g).coeffs
         rhs = iso.left_rep(L, g) @ M.coeffs
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    if not ctx.orthogonal_generators:
-        return _result("iso", "left_multiplication_intertwining", False, worst, n,
-                       _NEEDS_ORTHOGONAL, info=True)
     return _result("iso", "left_multiplication_intertwining", worst < tol, worst, n, f"tol {tol:g}")
 
 
@@ -320,9 +296,6 @@ def _check_left_right_intertwining(ctx: SuiteContext) -> CheckResult:
         lmr = cl.geometric_product(cl.geometric_product(L, M, g), R, g).coeffs
         rhs = iso.left_rep(L, g) @ (iso.right_rep(R, g) @ M.coeffs)
         worst = max(worst, float(np.abs(lmr - rhs).max()))
-    if not ctx.orthogonal_generators:
-        return _result("iso", "two_sided_intertwining", False, worst, n,
-                       _NEEDS_ORTHOGONAL, info=True)
     return _result("iso", "two_sided_intertwining", worst < tol, worst, n, f"tol {tol:g}")
 
 
@@ -366,12 +339,13 @@ def _check_matrix_wedge(ctx: SuiteContext) -> CheckResult:
     basis = ctx.basis()
     worst = 0.0
     eye = np.eye(4)
+    gam = basis.gammas
     for mu in range(4):
-        worst = max(worst, float(np.abs(
-            iso.matrix_wedge(basis.gammas[mu], basis.gammas[mu], basis)).max()))
+        worst = max(worst, float(np.abs(iso.matrix_wedge(gam[mu], gam[mu], basis)).max()))
         for nu in range(mu + 1, 4):
-            lhs = iso.matrix_wedge(basis.gammas[mu], basis.gammas[nu], basis)
-            worst = max(worst, float(np.abs(lhs - basis.gammas[mu] @ basis.gammas[nu]).max()))
+            lhs = iso.matrix_wedge(gam[mu], gam[nu], basis)
+            commutator = (gam[mu] @ gam[nu] - gam[nu] @ gam[mu]) / 2.0
+            worst = max(worst, float(np.abs(lhs - commutator).max()))
     for _ in range(n):
         m = _random_matrix(rng)
         worst = max(worst, float(np.abs(iso.matrix_wedge(eye, m, basis) - m).max()))
@@ -541,9 +515,6 @@ def _check_proposition_isometry(ctx: SuiteContext) -> CheckResult:
             err = float(np.abs(action(blades[b]) - sigma.matrix @ blades[b] @ sinv).max())
             if err > worst:
                 worst, worst_a = err, a
-    if not ctx.orthogonal_generators:
-        return _result("proposition", "exterior_transport_equals_conjugation", False,
-                       worst, n, _NEEDS_ORTHOGONAL, info=True)
     ok = worst < tol
     inputs = None if ok else {"A": np.asarray(worst_a).tolist()}
     return _result("proposition", "exterior_transport_equals_conjugation", ok, worst,
@@ -586,9 +557,6 @@ def _check_grade_preservation(ctx: SuiteContext) -> CheckResult:
     probe = tr.SpinElement.from_element(cl.CliffordElement(probe_coeffs), basis)
     probe_rep = tr.conjugation_subspace_check(probe, basis, expect_preserved=False)
     probe_leak = probe_rep.checks[0].residual
-    if not ctx.orthogonal_generators:
-        return _result("proposition", "conjugation_preserves_grades_only_for_lifts",
-                       False, lift_leak, NBLADES * 2, _NEEDS_ORTHOGONAL, info=True)
     ok = rep.checks[0].status == PASS and probe_leak > tol
     detail = f"lift leak {lift_leak:.3e}; generic even element leak {probe_leak:.3e}"
     return _result("proposition", "conjugation_preserves_grades_only_for_lifts", ok,
@@ -641,9 +609,6 @@ def _check_hodge_dirac_transport(ctx: SuiteContext) -> CheckResult:
         lhs = h @ omega
         rhs = cl.geometric_product(dr.symbol_element(lam), cl.CliffordElement(omega), g).coeffs
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    if not ctx.orthogonal_generators:
-        return _result("dirac", "hodge_dirac_transports_to_left_multiplication", False,
-                       worst, n, _NEEDS_ORTHOGONAL, info=True)
     return _result("dirac", "hodge_dirac_transports_to_left_multiplication", worst < tol,
                    worst, n, f"tol {tol:g}")
 
@@ -760,9 +725,6 @@ def _check_lorentz_rank(ctx: SuiteContext) -> CheckResult:
         a = tr.random_lorentz(rng, g)
         sv = dr.entanglement_probe(a, state, basis)
         worst = max(worst, float(sv[1] / sv[0]))
-    if not ctx.orthogonal_generators:
-        return _result("dirac", "isometries_preserve_rank_one", False, worst, n,
-                       _NEEDS_ORTHOGONAL, info=True)
     return _result("dirac", "isometries_preserve_rank_one", worst < tol, worst, n,
                    "second/first singular value ratio")
 

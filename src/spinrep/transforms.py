@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import _kernels
 from ._tables import BLADE_BITS, GRADE, NBLADES
@@ -221,7 +220,7 @@ def time_reversal_matrix() -> np.ndarray:
 class GL4Action:
     """Action of an invertible map on 4x4 matrices through the blade basis.
 
-    Decomposes the matrix over the generator-product basis, pushes the
+    Decomposes the matrix over the antisymmetrised blade basis, pushes the
     coefficients forward grade by grade, and reassembles the matrix.
     """
 
@@ -247,6 +246,8 @@ def random_lorentz(
     Exponential of a random generator X with g X antisymmetric, rescaled so
     the generator norm stays at or below ``max_rapidity``.
     """
+    from scipy.linalg import expm  # imported here: it dominates `import spinrep`
+
     k = rng.normal(size=(4, 4))
     k = k - k.T
     x = np.linalg.solve(g.g, k)

@@ -102,18 +102,24 @@ def test_criterion_04_no_lift_for_non_isometries(mink, basis):
 
 def test_criterion_05_proposition(mink, basis):
     rng = np.random.default_rng([SEED, 5])
-    blades = iso.gamma_blade_matrices(basis)
+    # a non-diagonal Lorentz metric F^T eta F from a random frame F
+    skew_rng = np.random.default_rng([SEED, 5, 1])
+    frame = np.eye(4) + 0.3 * skew_rng.normal(size=(4, 4))
+    skew = frame.T @ mink.g @ frame
+    skew_basis = iso.dirac_matrices(gr.Metric((skew + skew.T) / 2.0))
     worst = 0.0
-    for i in range(50):
-        a = tr.random_lorentz(rng, mink)
-        if i % 3 == 2:
-            a = -a  # non-orthochronous branch, still unit determinant
-        sigma = tr.spin_lift(a, basis)
-        action = tr.gl4_on_matrices(a, basis)
-        sinv = sigma.inverse_matrix
-        for b in range(NBLADES):
-            worst = max(worst, np.abs(action(blades[b])
-                                      - sigma.matrix @ blades[b] @ sinv).max())
+    for basis_, rng_ in ((basis, rng), (skew_basis, skew_rng)):
+        blades = iso.gamma_blade_matrices(basis_)
+        for i in range(50):
+            a = tr.random_lorentz(rng_, basis_.metric)
+            if i % 3 == 2:
+                a = -a  # non-orthochronous branch, still unit determinant
+            sigma = tr.spin_lift(a, basis_)
+            action = tr.gl4_on_matrices(a, basis_)
+            sinv = sigma.inverse_matrix
+            for b in range(NBLADES):
+                worst = max(worst, np.abs(action(blades[b])
+                                          - sigma.matrix @ blades[b] @ sinv).max())
     hom_worst = 0.0
     for _ in range(30):
         a = tr.random_invertible_non_isometry(rng, mink)
@@ -123,8 +129,8 @@ def test_criterion_05_proposition(mink, basis):
         rhs = tr.gl4_on_matrices(a, basis)(tr.gl4_on_matrices(b, basis)(m))
         hom_worst = max(hom_worst, np.abs(lhs - rhs).max())
     ok = worst < 1e-10 and hom_worst < 1e-10
-    _report(5, "exterior transport vs conjugation on unit-det isometries; "
-               "homomorphism beyond them", ok,
+    _report(5, "exterior transport vs conjugation on unit-det isometries of a "
+               "diagonal and a non-diagonal metric; homomorphism beyond them", ok,
             f"isometry err {worst:.3e}, hom err {hom_worst:.3e}")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from spinrep import cli
 from spinrep.errors import ConfigError
+from spinrep.suites import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -112,25 +113,19 @@ def test_verify_samples_override(capsys):
     assert "n=5" in out
 
 
-def test_verify_non_diagonal_metric_downgrades_basis_bound_checks(capsys):
-    # identities tied to the fixed ordered-product basis only hold when
-    # distinct generators are orthogonal; for a non-diagonal metric they are
-    # reported informationally while everything metric-agnostic stays hard
+def test_verify_non_diagonal_metric_passes_every_check(capsys):
+    # the antisymmetrised blade basis is valid for every metric, so every
+    # check of every suite is strict here
     a = np.eye(4)
     a[0, 1] = 0.3  # shear, so the pulled-back form is genuinely non-diagonal
     g = a.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ a
     g = (g + g.T) / 2
     spec = ",".join(repr(float(v)) for v in g.flatten())
-    code, out, _ = run_cli(capsys, "verify", "--suite", "iso", "--metric", spec,
-                           "--seed", "4", "--json")
+    code, out, _ = run_cli(capsys, "verify", "--metric", spec, "--seed", "4", "--json")
     assert code == 0
     payload = json.loads(out)
-    by_name = {c["name"]: c for c in payload["checks"]}
-    assert by_name["left_multiplication_intertwining"]["status"] == "info"
-    assert by_name["two_sided_intertwining"]["status"] == "info"
-    # metric-agnostic identities remain hard passes
-    assert by_name["left_right_images_commute"]["status"] == "pass"
-    assert by_name["matrix_representation"]["status"] == "pass"
+    assert {c["suite"] for c in payload["checks"]} == set(SUITE_NAMES)
+    assert [c["name"] for c in payload["checks"] if c["status"] != "pass"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,8 +43,32 @@ def reduce_word_oracle(word, g):
     return out
 
 
+def _antisymmetrised_words(mask):
+    """(sign, word) over all orderings of the factors of blade ``mask``."""
+    for perm in itertools.permutations(BLADE_BITS[mask]):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        yield (-1) ** inversions, list(perm)
+
+
 def product_oracle(mask_a, mask_b, g):
-    return reduce_word_oracle(list(BLADE_BITS[mask_a]) + list(BLADE_BITS[mask_b]), g)
+    """Product of two antisymmetrised blades, in the antisymmetrised basis.
+
+    Both factors are expanded into signed averages over the orderings of their
+    generators and reduced word by word; the result, which the reduction gives
+    in the ordered-product basis, is then read back through the matrix whose
+    columns are the antisymmetrised blades reduced the same way.
+    """
+    ordered = np.zeros(NBLADES, dtype=np.complex128)
+    for sa, wa in _antisymmetrised_words(mask_a):
+        for sb, wb in _antisymmetrised_words(mask_b):
+            ordered += sa * sb * reduce_word_oracle(wa + wb, g)
+    ordered /= math.factorial(GRADE[mask_a]) * math.factorial(GRADE[mask_b])
+    change = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
+    for m in range(NBLADES):
+        for sign, word in _antisymmetrised_words(m):
+            change[:, m] += sign * reduce_word_oracle(word, g)
+        change[:, m] /= math.factorial(GRADE[m])
+    return np.linalg.solve(change, ordered)
 
 
 def test_oracle_basics(mink):
@@ -90,7 +117,7 @@ def test_full_product_table_matches_reduction_oracle(mink):
 
 
 def test_product_table_matches_oracle_nondiagonal(rng):
-    # same comparison for a non-diagonal metric exercises the symbol correction
+    # on a non-diagonal metric the ordered and antisymmetrised bases differ
     for _ in range(3):
         g = random_symmetric_metric(rng)
         for i in range(NBLADES):

@@ -51,7 +51,7 @@ def wedge_oracle(x, y):
 def hodge_diagonal_oracle(b, g, osign=1):
     """Star of a single blade for a diagonal metric, from the defining relation."""
     diag = np.diagonal(g.g)
-    scale = osign * np.sqrt(abs(np.prod(diag)))
+    scale = osign / np.sqrt(abs(np.prod(diag)))
     gram = 1.0
     for i in BLADE_BITS[b]:
         gram *= diag[i]
@@ -248,9 +248,14 @@ def test_hodge_is_bijection(rng):
 def test_double_star_is_per_grade_scalar(mink, rng):
     scalars = gr.star_star_scalars(mink)
     np.testing.assert_allclose(scalars, [-1, 1, -1, 1, -1], atol=1e-14)
-    # non-diagonal metrics still give per-grade scalar blocks (value recorded only)
-    for _ in range(5):
-        gr.star_star_scalars(random_symmetric_metric(rng))
+    # the star is normalised by the unit volume, so on grade k its square is
+    # (-1)^(k(4-k)) sign(det g) whatever the scale of g, diagonal or not
+    skew = np.array([1, 0.3, 0, 0, 0.3, -1, 0, 0, 0, 0, -1, 0.2, 0, 0, 0.2, -1.0]).reshape(4, 4)
+    metrics = [gr.Metric(2.0 * mink.g), gr.Metric(np.diag([2.0, -1.0, -3.0, -1.0])),
+               gr.Metric(skew)] + [random_symmetric_metric(rng) for _ in range(5)]
+    for g in metrics:
+        expected = [(-1) ** (k * (4 - k)) * np.sign(g.det) for k in range(5)]
+        np.testing.assert_allclose(gr.star_star_scalars(g), expected, rtol=0, atol=1e-12)
 
 
 def test_orientation_flips_star_sign(mink):
@@ -292,6 +297,7 @@ def test_contraction_vs_vee_table_stable(mink, rng):
 def test_contraction_vs_vee_table_stable_random_metric(rng):
     g = random_symmetric_metric(rng)
     table = gr.contraction_vs_vee_table(g)
+    np.testing.assert_allclose(table[1:], np.sign(g.det), rtol=0, atol=1e-12)
     worst = 0.0
     for _ in range(20):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -8,7 +8,7 @@ from spinrep import transforms as tr
 from spinrep._tables import NBLADES
 from spinrep.errors import DegenerateMetric, NoRealFactorization
 
-from conftest import random_element_coeffs
+from conftest import random_element_coeffs, random_symmetric_metric
 
 
 def random_matrix(rng):
@@ -70,15 +70,15 @@ def test_left_intertwining(mink, rng):
 
 def test_left_intertwining_random_diagonal_metric(rng):
     # the coefficientwise canonical map intertwines left multiplication for
-    # any metric that keeps distinct generators orthogonal
+    # any metric, diagonal or not
     diag = np.array([1.7, -0.6, 2.3, -1.1])
-    g = gr.Metric(np.diag(diag))
-    for _ in range(30):
-        L = cl.CliffordElement(random_element_coeffs(rng))
-        M = cl.CliffordElement(random_element_coeffs(rng))
-        lhs = cl.geometric_product(L, M, g).coeffs
-        rhs = iso.left_rep(L, g) @ M.coeffs
-        np.testing.assert_allclose(lhs, rhs, atol=1e-11)
+    for g in (gr.Metric(np.diag(diag)), random_symmetric_metric(rng)):
+        for _ in range(30):
+            L = cl.CliffordElement(random_element_coeffs(rng))
+            M = cl.CliffordElement(random_element_coeffs(rng))
+            lhs = cl.geometric_product(L, M, g).coeffs
+            rhs = iso.left_rep(L, g) @ M.coeffs
+            np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
 def test_right_rep_unit(mink):
