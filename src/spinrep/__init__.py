@@ -10,6 +10,7 @@ numerical verification suites over all of it.
 """
 
 from ._kernels import backend_name
+from ._version import __version__
 from .clifford import CliffordElement, even_part, geometric_product, grade_project, reversion
 from .dirac import (
     PlaneWave,
@@ -58,18 +59,16 @@ from .isomorphisms import (
 )
 from .transforms import (
     SpinElement,
-    conjugation_subspace_check,
     exterior_pushforward,
     gl4_on_matrices,
+    grade_leakage,
     is_isometry,
     metric_pullback,
-    proposition_check,
     random_lorentz,
     spin_lift,
     substitute_gammas,
+    transport_residual,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "backend_name",
@@ -88,7 +87,6 @@ __all__ = [
     "NoRealFactorization",
     "NotIsometry",
     "clifford_to_matrix",
-    "conjugation_subspace_check",
     "covariance_residual",
     "delta",
     "delta_star",
@@ -99,6 +97,7 @@ __all__ = [
     "gamma_op",
     "geometric_product",
     "gl4_on_matrices",
+    "grade_leakage",
     "grade_project",
     "hodge",
     "hodge_dirac_symbol",
@@ -110,7 +109,6 @@ __all__ = [
     "metric_pullback",
     "minkowski",
     "plane_wave_solutions",
-    "proposition_check",
     "random_lorentz",
     "reversion",
     "right_delta",
@@ -123,6 +121,7 @@ __all__ = [
     "to_clifford",
     "to_grassmann",
     "transform_plane_wave",
+    "transport_residual",
     "vee",
     "wedge",
 ]

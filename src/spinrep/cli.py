@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from . import clifford as cl
 from . import grassmann as gr
 from . import isomorphisms as iso
 from . import transforms as tr
-from ._tables import GRADE, NBLADES, blade_label
+from ._tables import NBLADES, blade_label
 from ._version import __version__
 from .errors import ConfigError, DegenerateMetric, SpinrepError
-from .report import FAIL, PASS, CheckResult, Report
+from .report import Report
 from .suites import SUITE_NAMES, SuiteContext, run_suite
 
 PRESETS = {
@@ -38,7 +38,6 @@ PRESETS = {
 @dataclass
 class RunConfig:
     metric: gr.Metric
-    orientation: gr.Orientation = field(default_factory=gr.Orientation)
     seed: int = 0
     tol: float | None = None
     samples: int | None = None
@@ -89,7 +88,8 @@ def load_metric(spec: str, det_tol: float = gr.DEFAULT_DET_TOL) -> gr.Metric:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", default="minkowski+---",
-                        help="metric preset, 16 comma-separated reals, or JSON file path")
+                        help="metric preset, 16 comma-separated reals, or JSON file path; "
+                             "write --metric=-1,0,... when the first entry is negative")
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the per-check tolerances")
@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lift = sub.add_parser("lift", help="conjugating element for a linear map")
     _add_common(p_lift)
-    p_lift.add_argument("map", help="16 comma-separated reals or JSON file path")
+    p_lift.add_argument("map", help="16 comma-separated reals or JSON file path; "
+                                    "write 'spinrep lift -- MAP' when the first entry is negative")
 
     p_table = sub.add_parser("table", help="print a product/wedge/star table")
     _add_common(p_table)
@@ -140,8 +141,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if bad:
         raise ConfigError(f"unknown suite(s): {', '.join(bad)}; choose from {', '.join(SUITE_NAMES)}")
     requested = [s for s in SUITE_NAMES if s in requested]
-    ctx = SuiteContext(metric=config.metric, orientation=config.orientation,
-                       seed=config.seed, samples=config.samples, tol=config.tol)
+    ctx = SuiteContext(metric=config.metric, seed=config.seed, samples=config.samples,
+                       tol=config.tol)
     report = Report(
         seed=config.seed,
         metric=config.metric.g.tolist(),
@@ -245,8 +246,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     g = config.metric
     if args.which == "hodge":
-        scalars = gr.star_star_scalars(g, config.orientation)
-        ratios = gr.contraction_vs_vee_table(g, config.orientation)
+        scalars = gr.star_star_scalars(g)
+        ratios = gr.contraction_vs_vee_table(g)
         if config.json_output:
             print(json.dumps({
                 "schema": "spinrep-table/1",

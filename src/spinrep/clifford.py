@@ -14,7 +14,6 @@ operators, built from the generator operators by :func:`_blade_products`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,72 +25,28 @@ from ._tables import (
     GRADE,
     NBLADES,
     REVERSION_SIGN,
-    blade_label,
 )
-from .grassmann import Metric, _gamma_ops_cached
+from .grassmann import Metric, _BladeVector, _gamma_ops_cached
 
 
-@dataclass(frozen=True)
-class CliffordElement:
+class CliffordElement(_BladeVector):
     """Element of the Clifford algebra in the antisymmetrised blade basis."""
 
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(NBLADES, complex))
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (NBLADES,):
-            raise ValueError(f"expected {NBLADES} coefficients, got shape {c.shape}")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls) -> "CliffordElement":
-        return cls(np.zeros(NBLADES, dtype=np.complex128))
+    _label = ("g", "Id", "")
 
     @classmethod
     def unit(cls, value: complex = 1.0) -> "CliffordElement":
-        c = np.zeros(NBLADES, dtype=np.complex128)
-        c[0] = value
-        return cls(c)
+        return cls._single(0, value)
 
     @classmethod
     def generator(cls, i: int, value: complex = 1.0) -> "CliffordElement":
         if not 0 <= i < DIM:
             raise ValueError(f"generator index must be in 0..3, got {i}")
-        c = np.zeros(NBLADES, dtype=np.complex128)
-        c[1 << i] = value
-        return cls(c)
+        return cls._single(1 << i, value)
 
     @classmethod
     def basis_blade(cls, mask: int, value: complex = 1.0) -> "CliffordElement":
-        c = np.zeros(NBLADES, dtype=np.complex128)
-        c[mask] = value
-        return cls(c)
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(-self.coeffs)
-
-    def __mul__(self, scalar: complex) -> "CliffordElement":
-        return CliffordElement(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __str__(self) -> str:
-        terms = []
-        for b in range(NBLADES):
-            c = self.coeffs[b]
-            if c != 0:
-                terms.append(f"({c:.6g})*{blade_label(b, 'g', 'Id')}")
-        return " + ".join(terms) if terms else "0"
+        return cls._single(mask, value)
 
 
 def _blade_products(gens: np.ndarray) -> np.ndarray:

@@ -27,11 +27,7 @@ def symbol_matrix(lam: np.ndarray, basis: GammaBasis) -> np.ndarray:
 
 def symbol_element(lam: np.ndarray) -> CliffordElement:
     """The same symbol as an abstract algebra element (grade 1)."""
-    lam = np.asarray(lam, dtype=np.complex128)
-    coeffs = np.zeros(16, dtype=np.complex128)
-    for i in range(4):
-        coeffs[1 << i] = lam[i]
-    return CliffordElement(coeffs)
+    return CliffordElement.from_vector(lam)
 
 
 def hodge_dirac_symbol(lam: np.ndarray, g: Metric) -> np.ndarray:

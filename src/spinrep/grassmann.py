@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -97,11 +98,21 @@ class Orientation:
             raise ValueError("orientation sign must be +1 or -1")
 
 
+_E = TypeVar("_E", bound="_BladeVector")
+
+
 @dataclass(frozen=True)
-class GrassmannElement:
-    """Dense element of the exterior algebra: 16 complex blade coefficients."""
+class _BladeVector:
+    """16 complex blade coefficients, copied and frozen on construction.
+
+    The linear structure shared by :class:`GrassmannElement` and
+    :class:`spinrep.clifford.CliffordElement`; each subclass names its
+    constructors and sets the blade labels its ``str`` prints.
+    """
 
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(NBLADES, complex))
+
+    _label: ClassVar[tuple[str, str, str]]  # blade_label symbol, unit and separator
 
     def __post_init__(self) -> None:
         c = np.array(self.coeffs, dtype=np.complex128)
@@ -111,23 +122,17 @@ class GrassmannElement:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def zero(cls) -> "GrassmannElement":
+    def zero(cls: type[_E]) -> _E:
         return cls(np.zeros(NBLADES, dtype=np.complex128))
 
     @classmethod
-    def scalar(cls, value: complex = 1.0) -> "GrassmannElement":
-        c = np.zeros(NBLADES, dtype=np.complex128)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def blade(cls, mask: int, value: complex = 1.0) -> "GrassmannElement":
+    def _single(cls: type[_E], mask: int, value: complex) -> _E:
         c = np.zeros(NBLADES, dtype=np.complex128)
         c[mask] = value
         return cls(c)
 
     @classmethod
-    def from_vector(cls, v: np.ndarray) -> "GrassmannElement":
+    def from_vector(cls: type[_E], v: np.ndarray) -> _E:
         """Grade-1 element with generator coefficients ``v``."""
         v = np.asarray(v, dtype=np.complex128)
         c = np.zeros(NBLADES, dtype=np.complex128)
@@ -135,27 +140,19 @@ class GrassmannElement:
             c[1 << i] = v[i]
         return cls(c)
 
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        return GrassmannElement(self.coeffs + other.coeffs)
+    def __add__(self: _E, other: _E) -> _E:
+        return type(self)(self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        return GrassmannElement(self.coeffs - other.coeffs)
+    def __sub__(self: _E, other: _E) -> _E:
+        return type(self)(self.coeffs - other.coeffs)
 
-    def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(-self.coeffs)
+    def __neg__(self: _E) -> _E:
+        return type(self)(-self.coeffs)
 
-    def __mul__(self, scalar: complex) -> "GrassmannElement":
-        return GrassmannElement(self.coeffs * scalar)
+    def __mul__(self: _E, scalar: complex) -> _E:
+        return type(self)(self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def grade_project(self, k: int) -> "GrassmannElement":
-        return GrassmannElement(np.where(GRADE == k, self.coeffs, 0.0))
-
-    def grades(self, tol: float = 0.0) -> tuple[int, ...]:
-        """Grades carrying a coefficient with magnitude above ``tol``."""
-        present = np.abs(self.coeffs) > tol
-        return tuple(sorted({int(GRADE[b]) for b in range(NBLADES) if present[b]}))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -165,8 +162,30 @@ class GrassmannElement:
         for b in range(NBLADES):
             c = self.coeffs[b]
             if c != 0:
-                terms.append(f"({c:.6g})*{blade_label(b, 'd', '1', '^')}")
+                terms.append(f"({c:.6g})*{blade_label(b, *self._label)}")
         return " + ".join(terms) if terms else "0"
+
+
+class GrassmannElement(_BladeVector):
+    """Dense element of the exterior algebra: 16 complex blade coefficients."""
+
+    _label = ("d", "1", "^")
+
+    @classmethod
+    def scalar(cls, value: complex = 1.0) -> "GrassmannElement":
+        return cls._single(0, value)
+
+    @classmethod
+    def blade(cls, mask: int, value: complex = 1.0) -> "GrassmannElement":
+        return cls._single(mask, value)
+
+    def grade_project(self, k: int) -> "GrassmannElement":
+        return GrassmannElement(np.where(GRADE == k, self.coeffs, 0.0))
+
+    def grades(self, tol: float = 0.0) -> tuple[int, ...]:
+        """Grades carrying a coefficient with magnitude above ``tol``."""
+        present = np.abs(self.coeffs) > tol
+        return tuple(sorted({int(GRADE[b]) for b in range(NBLADES) if present[b]}))
 
 
 def wedge(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:

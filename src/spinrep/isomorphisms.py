@@ -53,9 +53,6 @@ class GammaBasis:
         g.flags.writeable = False
         object.__setattr__(self, "gammas", g)
 
-    def matrix(self, mu: int) -> np.ndarray:
-        return self.gammas[mu]
-
     def key(self) -> bytes:
         return self.gammas.tobytes()
 

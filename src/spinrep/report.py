@@ -15,7 +15,6 @@ SCHEMA = "spinrep-report/1"
 
 PASS = "pass"
 FAIL = "fail"
-INFO = "info"
 
 
 @dataclass

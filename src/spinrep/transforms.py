@@ -3,8 +3,8 @@
 Covers substitution of generators along a linear map, spin lifts of metric
 isometries (solved as the null space of the stacked conjugation system),
 the grade-wise exterior extension of an arbitrary linear map, metric
-pullback, the induced action on 4x4 matrices, and the checker comparing the
-two transformation routes.
+pullback, the induced action on 4x4 matrices, and the residuals comparing
+the two transformation routes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .isomorphisms import (
     gamma_blade_matrices,
     matrix_to_clifford,
 )
-from .report import FAIL, INFO, PASS, CheckResult, Report
 
 DEFAULT_ISOMETRY_TOL = 1e-10
 LIFT_ACCEPT = 1e-8  # largest normalized singular value accepted as null
@@ -100,15 +99,6 @@ class SpinElement:
     @property
     def inverse_matrix(self) -> np.ndarray:
         return np.linalg.inv(self.matrix)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, basis: GammaBasis, residual: float | None = None) -> "SpinElement":
-        element = matrix_to_clifford(m, basis)
-        return cls(element, np.asarray(m, dtype=np.complex128), _parity_of(element), residual)
-
-    @classmethod
-    def from_element(cls, element: CliffordElement, basis: GammaBasis, residual: float | None = None) -> "SpinElement":
-        return cls(element, clifford_to_matrix(element, basis), _parity_of(element), residual)
 
 
 def _parity_of(element: CliffordElement, tol: float = 1e-9) -> str:
@@ -270,129 +260,33 @@ def random_invertible_non_isometry(
             return a
 
 
-def proposition_check(
-    a: np.ndarray,
-    basis: GammaBasis,
-    samples: int = 20,
-    seed: int = 0,
-    tol: float = 1e-10,
-    isometry_tol: float = DEFAULT_ISOMETRY_TOL,
-) -> Report:
-    """Compare the exterior-transport action with conjugation by the lift.
+def transport_residual(a: np.ndarray, basis: GammaBasis, matrices: np.ndarray) -> float:
+    """Largest entry of the exterior-transport action of ``a`` minus conjugation
+    by its spin lift, over a stack of 4x4 matrices.
 
-    For an isometry the two routes must agree on every basis blade and on
-    random matrices.  For a non-isometry the conjugation system must have a
-    trivial null space while the exterior action still composes like a group
-    action.
+    Zero up to rounding for every isometry of the basis metric; raises
+    :class:`NotIsometry` for any other map, which has no lift.
     """
-    a = np.asarray(a, dtype=np.float64)
-    g = basis.metric
-    rng = np.random.default_rng(seed)
-    report = Report(
-        seed=seed,
-        metric=g.g.tolist(),
-        tolerances={"tol": tol, "isometry_tol": isometry_tol},
-        version="0.1.0",
-        samples=samples,
-        suites=["proposition"],
-    )
-    defect = isometry_defect(a, g)
+    sigma = spin_lift(a, basis)
     action = gl4_on_matrices(a, basis)
-    blades = gamma_blade_matrices(basis)
-    if defect < isometry_tol:
-        sigma = spin_lift(a, basis, isometry_tol)
-        sinv = sigma.inverse_matrix
-        worst = 0.0
-        for b in range(NBLADES):
-            worst = max(worst, float(np.abs(action(blades[b]) - sigma.matrix @ blades[b] @ sinv).max()))
-        for _ in range(samples):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            worst = max(worst, float(np.abs(action(m) - sigma.matrix @ m @ sinv).max()))
-        report.add(
-            CheckResult(
-                "proposition",
-                "exterior_matches_conjugation",
-                PASS if worst < tol else FAIL,
-                residual=worst,
-                samples=NBLADES + samples,
-                detail=f"isometry defect {defect:.3e}",
-            )
-        )
-    else:
-        svals = conjugation_singular_values(a, basis)
-        no_lift = svals[-1] > 1e-6
-        report.add(
-            CheckResult(
-                "proposition",
-                "no_conjugating_element",
-                PASS if no_lift else FAIL,
-                residual=float(svals[-1]),
-                detail="smallest normalized singular value of the conjugation system",
-            )
-        )
-        worst = 0.0
-        for _ in range(samples):
-            b = random_invertible_non_isometry(rng, g)
-            lhs = gl4_on_matrices(a @ b, basis)
-            rhs_inner = gl4_on_matrices(b, basis)
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            worst = max(worst, float(np.abs(lhs(m) - action(rhs_inner(m))).max()))
-        report.add(
-            CheckResult(
-                "proposition",
-                "exterior_action_is_homomorphism",
-                PASS if worst < tol else FAIL,
-                residual=worst,
-                samples=samples,
-                detail=f"isometry defect {defect:.3e}",
-            )
-        )
-    return report
-
-
-def conjugation_subspace_check(
-    sigma: SpinElement,
-    basis: GammaBasis,
-    tol: float = 1e-11,
-    expect_preserved: bool | None = None,
-) -> Report:
-    """Measure how conjugation by ``sigma`` mixes the grade subspaces.
-
-    Grade mixing vanishes exactly when the element lifts an isometry; for
-    other invertible elements the leakage magnitude is reported.
-    """
-    if expect_preserved is None:
-        expect_preserved = sigma.residual is not None and sigma.residual < 1e-8
     sinv = sigma.inverse_matrix
-    blades = gamma_blade_matrices(basis)
+    return max(float(np.abs(action(m) - sigma.matrix @ m @ sinv).max()) for m in matrices)
+
+
+def grade_leakage(m: np.ndarray, basis: GammaBasis) -> float:
+    """Largest off-grade share of m b m^-1 over the 16 blade matrices b.
+
+    The share is the norm of the coefficients outside the grade of b divided
+    by the norm of all coefficients.  It vanishes when ``m`` lifts an
+    isometry and is generically nonzero for other invertible matrices.
+    """
+    minv = np.linalg.inv(m)
     leakage = 0.0
-    for b in range(NBLADES):
-        conj = sigma.matrix @ blades[b] @ sinv
-        coeffs = matrix_to_clifford(conj, basis).coeffs
+    for b, blade in enumerate(gamma_blade_matrices(basis)):
+        coeffs = matrix_to_clifford(m @ blade @ minv, basis).coeffs
         total = np.linalg.norm(coeffs)
         if total == 0:
             continue
         off = np.linalg.norm(coeffs[GRADE != GRADE[b]])
         leakage = max(leakage, float(off / total))
-    report = Report(
-        seed=0,
-        metric=basis.metric.g.tolist(),
-        tolerances={"tol": tol},
-        version="0.1.0",
-        suites=["conjugation_subspace"],
-    )
-    if expect_preserved:
-        status = PASS if leakage < tol else FAIL
-    else:
-        status = INFO
-    report.add(
-        CheckResult(
-            "conjugation_subspace",
-            "grade_preservation",
-            status,
-            residual=leakage,
-            samples=NBLADES,
-            detail=f"parity={sigma.parity}",
-        )
-    )
-    return report
+    return leakage

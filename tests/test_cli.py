@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import spinrep
 from spinrep import cli
 from spinrep.errors import ConfigError
 from spinrep.suites import SUITE_NAMES
@@ -113,6 +114,14 @@ def test_verify_samples_override(capsys):
     assert "n=5" in out
 
 
+def test_verify_metric_with_leading_minus(capsys):
+    # argparse reads "--metric -1,..." as a missing value; the "=" form works
+    code, out, _ = run_cli(capsys, "verify", "--suite", "grassmann",
+                           "--metric=-1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1")
+    assert code == 0
+    assert "==> all checks passed" in out
+
+
 def test_verify_non_diagonal_metric_passes_every_check(capsys):
     # the antisymmetrised blade basis is valid for every metric, so every
     # check of every suite is strict here
@@ -206,3 +215,6 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+    # one version source: the package, its _version module and the CLI agree
+    assert spinrep.__version__ == spinrep._version.__version__
+    assert capsys.readouterr().out.strip() == f"spinrep {spinrep._version.__version__}"

@@ -164,8 +164,9 @@ def test_lift_deterministic_branch(mink, basis, rng):
 
 def test_no_lift_for_random_non_isometries(mink, basis, rng):
     smallest = np.inf
-    for _ in range(30):
-        a = tr.random_invertible_non_isometry(rng, mink)
+    maps = [np.diag([1.0, 2.0, 3.0, 4.0])]
+    maps += [tr.random_invertible_non_isometry(rng, mink) for _ in range(30)]
+    for a in maps:
         svals = tr.conjugation_singular_values(a, basis)
         smallest = min(smallest, svals[-1])
     assert smallest > 1e-6
@@ -244,8 +245,9 @@ def test_gl4_identity_action(basis, rng):
 
 def test_gl4_homomorphism(mink, basis, rng):
     worst = 0.0
-    for _ in range(50):
-        a = tr.random_invertible_non_isometry(rng, mink, min_defect=0.0)
+    diag = np.diag([1.0, 2.0, 3.0, 4.0])
+    for i in range(51):
+        a = diag if i == 50 else tr.random_invertible_non_isometry(rng, mink, min_defect=0.0)
         b = tr.random_invertible_non_isometry(rng, mink, min_defect=0.0)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lhs = tr.gl4_on_matrices(a @ b, basis)(m)
@@ -278,49 +280,36 @@ def test_gl4_action_invertible(mink, basis, rng):
 # ---------------------------------------------------------------------------
 # proposition checker and grade preservation
 
-def test_proposition_identity(basis):
-    rep = tr.proposition_check(np.eye(4), basis, samples=5)
-    assert rep.passed
-    assert rep.checks[0].residual < 1e-12
+def proposition_inputs(basis, rng, samples):
+    """The 16 blade matrices followed by ``samples`` random complex matrices."""
+    random = rng.normal(size=(samples, 4, 4)) + 1j * rng.normal(size=(samples, 4, 4))
+    return np.concatenate([iso.gamma_blade_matrices(basis), random])
+
+
+def test_proposition_identity(basis, rng):
+    assert tr.transport_residual(np.eye(4), basis, proposition_inputs(basis, rng, 5)) < 1e-12
 
 
 def test_proposition_boost_rotation(mink, basis, rng):
     a = boost_01(0.9, mink) @ rotation_12(1.1, mink)
-    rep = tr.proposition_check(a, basis, samples=10)
-    assert rep.passed
-    assert rep.checks[0].name == "exterior_matches_conjugation"
-    assert rep.checks[0].residual < 1e-10
-
-
-def test_proposition_non_isometry(basis):
-    rep = tr.proposition_check(np.diag([1.0, 2.0, 3.0, 4.0]), basis, samples=10)
-    assert rep.passed
-    names = [c.name for c in rep.checks]
-    assert "no_conjugating_element" in names
-    assert "exterior_action_is_homomorphism" in names
+    assert tr.transport_residual(a, basis, proposition_inputs(basis, rng, 10)) < 1e-10
 
 
 def test_grade_preservation_for_lift(mink, basis, rng):
     s = tr.spin_lift(tr.random_lorentz(rng, mink), basis)
-    rep = tr.conjugation_subspace_check(s, basis)
-    assert rep.checks[0].status == "pass"
-    assert rep.checks[0].residual < 1e-11
+    assert tr.grade_leakage(s.matrix, basis) < 1e-11
 
 
 def test_grade_preservation_identity(basis):
-    s = tr.SpinElement.from_matrix(np.eye(4), basis, residual=0.0)
-    rep = tr.conjugation_subspace_check(s, basis)
-    assert rep.checks[0].residual < 1e-14
+    assert tr.grade_leakage(np.eye(4), basis) < 1e-14
 
 
 def test_grade_leakage_for_generic_even_element(basis, rng):
     coeffs = np.zeros(NBLADES, dtype=complex)
     coeffs[0] = 1.0
     coeffs[15] = 0.3 + 0.6j * rng.random()
-    probe = tr.SpinElement.from_element(cl.CliffordElement(coeffs), basis)
-    rep = tr.conjugation_subspace_check(probe, basis, expect_preserved=False)
-    assert rep.checks[0].status == "info"
-    assert rep.checks[0].residual > 1e-3
+    probe = iso.clifford_to_matrix(cl.CliffordElement(coeffs), basis)
+    assert tr.grade_leakage(probe, basis) > 1e-3
 
 
 def test_random_lorentz_is_isometry(mink, rng):
