@@ -1,10 +1,21 @@
-"""Hot coefficient-space kernels: the wedge product and the metric product."""
+"""Hot coefficient-space kernels: the wedge product, the metric product and
+the exterior extension of a 4x4 matrix."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._tables import WEDGE_TENSOR
+from ._tables import BLADE_BITS, BLADES_BY_GRADE, NBLADES, WEDGE_TENSOR
+
+_VECTORS = np.array(BLADES_BY_GRADE[1])
+# the wedge table with a grade-1 right factor: row 4 a + i pairs blade a with e_i
+_WEDGE_VECTOR = WEDGE_TENSOR[:, _VECTORS, :].reshape(NBLADES * 4, NBLADES)
+# per grade 2..4: its blades, each without its highest factor, and that factor
+_STEPS = [
+    (np.array(blades), np.array([b ^ (1 << BLADE_BITS[b][-1]) for b in blades]),
+     np.array([BLADE_BITS[b][-1] for b in blades]))
+    for blades in BLADES_BY_GRADE[2:]
+]
 
 
 def wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -15,6 +26,24 @@ def wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mul16(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Bilinear product with per-metric structure tensor ``tensor[i, k, j]``."""
     return np.einsum("i,ikj,j->k", a, tensor, b)
+
+
+def compound16(a: np.ndarray) -> np.ndarray:
+    """Exterior extension of a real 4x4 matrix: the 16x16 block-diagonal stack
+    of its compound matrices, entry [r, c] the minor of rows r, columns c.
+
+    Column c is the wedge of the columns of ``a`` named by the factors of
+    blade c, built grade by grade: the column without its highest factor,
+    wedged with that factor's column, in one batched product per grade.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    cols = np.zeros((NBLADES, NBLADES))  # row c holds column c
+    cols[0, 0] = 1.0
+    cols[_VECTORS[:, None], _VECTORS] = a.T
+    for blades, lower, factor in _STEPS:
+        pairs = cols[lower][:, :, None] * a[:, factor].T[:, None, :]
+        cols[blades] = pairs.reshape(len(blades), -1) @ _WEDGE_VECTOR
+    return cols.T
 
 
 def backend_name() -> str:

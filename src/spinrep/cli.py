@@ -54,20 +54,23 @@ def parse_matrix4(text: str) -> np.ndarray:
             raise ConfigError(f"bad matrix entry: {exc}") from None
         if len(values) != 16:
             raise ConfigError(f"expected 16 matrix entries, got {len(values)}")
-        return np.array(values, dtype=np.float64).reshape(4, 4)
-    try:
-        with open(text) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix file {text!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"matrix file {text!r} is not valid JSON: {exc}") from None
-    try:
-        m = np.array(payload["matrix"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f'matrix file {text!r} must contain {{"matrix": [[...]x4]}}') from None
-    if m.shape != (4, 4):
-        raise ConfigError(f"matrix in {text!r} has shape {m.shape}, expected (4, 4)")
+        m = np.array(values, dtype=np.float64).reshape(4, 4)
+    else:
+        try:
+            with open(text) as fh:
+                payload = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read matrix file {text!r}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"matrix file {text!r} is not valid JSON: {exc}") from None
+        try:
+            m = np.array(payload["matrix"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f'matrix file {text!r} must contain {{"matrix": [[...]x4]}}') from None
+        if m.shape != (4, 4):
+            raise ConfigError(f"matrix in {text!r} has shape {m.shape}, expected (4, 4)")
+    if not np.isfinite(m).all():
+        raise ConfigError("matrix entries must be finite")
     return m
 
 

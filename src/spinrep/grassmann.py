@@ -52,14 +52,18 @@ class Metric:
         g = np.array(self.g, dtype=np.float64)
         if g.shape != (DIM, DIM):
             raise ValueError(f"metric must be 4x4, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("metric entries must be finite")
         if not np.array_equal(g, g.T):
             raise ValueError("metric must be symmetric exactly as stored")
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
+        # not a field, so equality and key() see only g and det_tol
+        object.__setattr__(self, "_det", float(np.linalg.det(g)))
 
     @property
     def det(self) -> float:
-        return float(np.linalg.det(self.g))
+        return self._det
 
     def is_degenerate(self) -> bool:
         return abs(self.det) < self.det_tol
@@ -298,36 +302,19 @@ def right_gamma_op(i: int, g: Metric) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hodge star and the dual product
 
-def _blade_gram(g: np.ndarray, a: int, b: int) -> float:
-    """Induced pairing of two blades: det of the metric submatrix."""
-    rows = list(_bits(a))
-    cols = list(_bits(b))
-    if len(rows) != len(cols):
-        return 0.0
-    if not rows:
-        return 1.0
-    return float(np.linalg.det(g[np.ix_(rows, cols)]))
-
-
-def _bits(mask: int):
-    return (i for i in range(DIM) if mask >> i & 1)
+# star is fixed by e_a ^ star(e_b) = <e_a, e_b> vol, and <e_a, e_b> is the
+# minor of g on rows a, columns b: star = S (wedge g) with S[TOP ^ a, a] the
+# sign of e_a ^ e_(TOP ^ a), scaled by the unit volume e_0123 / sqrt|det g|
+_COMPLEMENT = np.zeros((NBLADES, NBLADES))
+for _a in range(NBLADES):
+    _COMPLEMENT[TOP ^ _a, _a] = WEDGE_SIGN[_a, TOP ^ _a]
 
 
 @lru_cache(maxsize=128)
 def _hodge_matrix_cached(gkey: bytes, det_tol: float, osign: int) -> np.ndarray:
     g = Metric(np.frombuffer(gkey, dtype=np.float64).reshape(DIM, DIM), det_tol)
     g.require_nondegenerate()
-    # the unit volume of vectors is e_0123 / sqrt|det g|
-    scale = osign / np.sqrt(abs(g.det))
-    h = np.zeros((NBLADES, NBLADES), dtype=np.float64)
-    for b in range(NBLADES):
-        k = GRADE[b]
-        for a in range(NBLADES):
-            if GRADE[a] != k:
-                continue
-            comp = TOP ^ a
-            # star is fixed by e_a ^ star(e_b) = <e_a, e_b> vol
-            h[comp, b] += scale * WEDGE_SIGN[a, comp] * _blade_gram(g.g, a, b)
+    h = osign / np.sqrt(abs(g.det)) * (_COMPLEMENT @ _kernels.compound16(g.g))
     h.flags.writeable = False
     return h
 

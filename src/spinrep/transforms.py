@@ -14,16 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._tables import BLADE_BITS, GRADE, NBLADES
+from ._tables import GRADE, NBLADES
 from .clifford import CliffordElement, even_part, odd_part
 from .errors import LiftNotFound, NotIsometry
-from .grassmann import GrassmannElement, Metric
+from .grassmann import Metric
 from .isomorphisms import (
     GammaBasis,
-    clifford_to_matrix,
+    _matrix_basis_cached,
     gamma_blade_matrices,
     matrix_to_clifford,
 )
+
+_EYE4 = np.eye(4, dtype=np.complex128)
 
 DEFAULT_ISOMETRY_TOL = 1e-10
 LIFT_ACCEPT = 1e-8  # largest normalized singular value accepted as null
@@ -52,22 +54,24 @@ def substitute_gammas(a: np.ndarray, basis: GammaBasis) -> GammaBasis:
 
     The returned basis represents the pulled-back metric A^T g A.
     """
-    a = np.asarray(a, dtype=np.float64)
-    new_gammas = np.einsum("nm,nij->mij", a, basis.gammas)
-    return GammaBasis(new_gammas, metric_pullback(a, basis.metric))
+    return GammaBasis(_substituted(a, basis), metric_pullback(a, basis.metric))
 
 
 def conjugation_system(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
     """Stacked 64x16 system whose null vectors conjugate the generators into
     their substituted images: Sigma gamma_mu - gamma'_mu Sigma = 0 for all mu."""
-    a = np.asarray(a, dtype=np.float64)
-    eye = np.eye(4, dtype=np.complex128)
-    rows = []
-    for mu in range(4):
-        gp = np.einsum("n,nij->ij", a[:, mu], basis.gammas)
-        # row-major vec: vec(X G) = (I (x) G^T) vec X, vec(G' X) = (G' (x) I) vec X
-        rows.append(np.kron(eye, basis.gammas[mu].T) - np.kron(gp, eye))
-    return np.vstack(rows)
+    gp = _substituted(a, basis)
+    # row-major vec: vec(X G) = (I (x) G^T) vec X, vec(G' X) = (G' (x) I) vec X,
+    # each Kronecker product as one broadcast product over the four mu
+    gt = basis.gammas.transpose(0, 2, 1)
+    left = _EYE4[None, :, None, :, None] * gt[:, None, :, None, :]
+    right = gp[:, :, None, :, None] * _EYE4[None, None, :, None, :]
+    return (left - right).reshape(64, 16)
+
+
+def _substituted(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
+    """The four images gamma'_mu = sum_nu A[nu, mu] gamma_nu."""
+    return np.einsum("nm,nij->mij", np.asarray(a, dtype=np.float64), basis.gammas)
 
 
 def conjugation_singular_values(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
@@ -152,7 +156,7 @@ def spin_lift(
     if defect >= isometry_tol:
         raise NotIsometry(f"A^T g A - g has max entry {defect:.3e} >= {isometry_tol:.3e}")
     system = conjugation_system(a, basis)
-    _, s, vh = np.linalg.svd(system)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
     if s[0] == 0:
         raise LiftNotFound("conjugation system vanished entirely")
     smallest = s[-1] / s[0]
@@ -170,31 +174,17 @@ def spin_lift(
 
 
 def _conjugation_residual(m: np.ndarray, a: np.ndarray, basis: GammaBasis) -> float:
-    minv = np.linalg.inv(m)
-    worst = 0.0
-    for mu in range(4):
-        gp = np.einsum("n,nij->ij", a[:, mu], basis.gammas)
-        worst = max(worst, float(np.abs(m @ basis.gammas[mu] @ minv - gp).max()))
-    return worst
+    return float(np.abs(m @ basis.gammas @ np.linalg.inv(m) - _substituted(a, basis)).max())
 
 
 def exterior_pushforward(a: np.ndarray) -> np.ndarray:
     """Grade-wise extension of a linear map to the 16-dim exterior algebra.
 
-    Block-diagonal across grades: scalars are fixed, the grade-1 block is A
-    itself, the top block is multiplication by det A.
+    Block-diagonal across grades, each block the compound matrix of A of that
+    grade: scalars are fixed, the grade-1 block is A itself, the top block is
+    multiplication by det A.
     """
-    a = np.asarray(a, dtype=np.float64)
-    cols = [GrassmannElement.from_vector(a[:, i].astype(np.complex128)).coeffs for i in range(4)]
-    push = np.zeros((NBLADES, NBLADES), dtype=np.float64)
-    unit = np.zeros(NBLADES, dtype=np.complex128)
-    unit[0] = 1.0
-    for b in range(NBLADES):
-        acc = unit
-        for i in BLADE_BITS[b]:
-            acc = _kernels.wedge16(acc, cols[i])
-        push[:, b] = acc.real
-    return push
+    return _kernels.compound16(a)
 
 
 def parity_matrix() -> np.ndarray:
@@ -210,18 +200,23 @@ def time_reversal_matrix() -> np.ndarray:
 class GL4Action:
     """Action of an invertible map on 4x4 matrices through the blade basis.
 
-    Decomposes the matrix over the antisymmetrised blade basis, pushes the
-    coefficients forward grade by grade, and reassembles the matrix.
+    Decomposing a matrix over the antisymmetrised blade basis, pushing the
+    coefficients forward grade by grade and reassembling the matrix is one
+    linear operator on vectorised matrices, B P B^-1, built once per map.
     """
 
     def __init__(self, a: np.ndarray, basis: GammaBasis):
         self.a = np.asarray(a, dtype=np.float64)
         self.basis = basis
         self.pushforward = exterior_pushforward(self.a)
+        stack, flat_inv = _matrix_basis_cached(basis.key())
+        self._operator = stack.reshape(NBLADES, 16).T @ self.pushforward @ flat_inv
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
-        coeffs = matrix_to_clifford(m, self.basis).coeffs
-        return clifford_to_matrix(CliffordElement(self.pushforward @ coeffs), self.basis)
+        m = np.asarray(m)
+        if m.shape != (4, 4):
+            raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
+        return (self._operator @ m.reshape(16)).reshape(4, 4)
 
 
 def gl4_on_matrices(a: np.ndarray, basis: GammaBasis) -> GL4Action:
@@ -236,15 +231,39 @@ def random_lorentz(
     Exponential of a random generator X with g X antisymmetric, rescaled so
     the generator norm stays at or below ``max_rapidity``.
     """
-    from scipy.linalg import expm  # imported here: it dominates `import spinrep`
-
     k = rng.normal(size=(4, 4))
     k = k - k.T
     x = np.linalg.solve(g.g, k)
     norm = np.linalg.norm(x, 2)
     if norm > max_rapidity:
         x *= max_rapidity / norm
-    return expm(x)
+    return _expm(x)
+
+
+# numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+           1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152  # largest 1-norm at which [13/13] is accurate to double
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """Matrix exponential by [13/13] Pade scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3 with m = 13)."""
+    # scale by 2^-s so that the 1-norm is at most theta_13
+    s = max(0, int(np.frexp(np.linalg.norm(x, 1) / _THETA13)[1]))
+    x = x / 2.0**s
+    b, eye = _PADE13, np.eye(len(x))
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def random_invertible_non_isometry(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,19 @@ from spinrep.errors import ConfigError
 from spinrep.suites import SUITE_NAMES
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """Run ``python *args`` in a fresh process that imports spinrep from src/."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +94,27 @@ def test_verify_degenerate_metric_exits_2(capsys):
                            "--metric", "1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,1")
     assert code == 2
     assert "degenerate" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "grassmann", "--metric", "inf,0,0,0,0,-1,0,0,0,0,-1,0,0,0,0,-1"],
+    ["lift", "--", "nan,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
+])
+def test_non_finite_input_exits_2_with_one_error_line(argv):
+    proc = run_python("-m", "spinrep.cli", *argv)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_does_not_import_scipy():
+    # scipy.linalg costs about 0.3 s per process; spinrep must run on numpy alone
+    code = ("import sys; from spinrep import cli; "
+            "cli.main(['verify','--suite','transforms','--json']); "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_unknown_suite_exits_2(capsys):

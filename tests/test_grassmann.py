@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinrep import grassmann as gr
-from spinrep._tables import BLADE_BITS, GRADE, NBLADES, TOP
+from spinrep._tables import BLADE_BITS, GRADE, NBLADES, TOP, WEDGE_SIGN
 from spinrep.errors import DegenerateMetric
 
 from conftest import random_element_coeffs, random_symmetric_metric
@@ -179,6 +181,20 @@ def test_metric_requires_exact_symmetry():
         gr.Metric(m)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_metric_rejects_non_finite_entries(bad):
+    m = np.diag([1.0, -1.0, -1.0, -1.0])
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gr.Metric(m)
+
+
+def test_metric_det_is_stored_outside_the_fields(mink):
+    assert mink.det == np.linalg.det(mink.g)
+    assert [f.name for f in dataclasses.fields(gr.Metric)] == ["g", "det_tol"]
+    assert gr.Metric(np.diag([1.0, -1.0, -1.0, -1.0])).key() == mink.key()
+
+
 # ---------------------------------------------------------------------------
 # generator operators
 
@@ -234,6 +250,34 @@ def test_hodge_d0(mink):
     expected = np.zeros(NBLADES, dtype=complex)
     expected[0b1110] = 1.0  # +d1^d2^d3 for this convention
     np.testing.assert_allclose(got, expected, atol=1e-15)
+
+
+def blade_gram_hodge(g, osign=1):
+    """Star from e_a ^ star(e_b) = <e_a, e_b> vol, with the blade pairing
+    taken one minor determinant of g at a time."""
+    scale = osign / np.sqrt(abs(np.linalg.det(g.g)))
+    h = np.zeros((NBLADES, NBLADES))
+    for b in range(NBLADES):
+        for a in range(NBLADES):
+            if GRADE[a] != GRADE[b]:
+                continue
+            rows, cols = list(BLADE_BITS[a]), list(BLADE_BITS[b])
+            gram = np.linalg.det(g.g[np.ix_(rows, cols)]) if rows else 1.0
+            h[TOP ^ a, b] += scale * WEDGE_SIGN[a, TOP ^ a] * gram
+    return h
+
+
+def test_hodge_matches_blade_gram_oracle(mink, rng):
+    skew = np.array([1, 0.3, 0, 0, 0.3, -1, 0, 0, 0, 0, -1, 0.2, 0, 0, 0.2, -1.0]).reshape(4, 4)
+    metrics = [mink, gr.Metric(np.diag([2.0, -1.0, -3.0, -1.0])), gr.Metric(skew)]
+    metrics += [random_symmetric_metric(rng) for _ in range(5)]
+    # |det g| is 1e-12 and 1e12: the default absolute det_tol is not scale-aware
+    metrics += [gr.Metric(s * mink.g, det_tol=1e-30) for s in (1e-3, 1e3)]
+    for g in metrics:
+        for o in (gr.Orientation(1), gr.Orientation(-1)):
+            expected = blade_gram_hodge(g, o.sign)
+            gap = np.abs(gr.hodge_matrix(g, o) - expected).max()
+            assert gap <= 1e-13 * np.abs(expected).max()
 
 
 def test_hodge_is_bijection(rng):

@@ -24,6 +24,15 @@ def boost_01(chi, mink):
     return expm(np.linalg.solve(mink.g, k))
 
 
+SKEW = gr.Metric(np.array([1, 0.3, 0, 0, 0.3, -1, 0, 0,
+                           0, 0, -1, 0.2, 0, 0, 0.2, -1.0]).reshape(4, 4))
+
+
+@pytest.fixture(scope="module")
+def skew_basis():
+    return iso.dirac_matrices(SKEW)
+
+
 def conjugations_agree(m1, m2, basis, tol=1e-10):
     """Whether two invertible matrices induce the same conjugation map."""
     inv1, inv2 = np.linalg.inv(m1), np.linalg.inv(m2)
@@ -172,6 +181,35 @@ def test_no_lift_for_random_non_isometries(mink, basis, rng):
     assert smallest > 1e-6
 
 
+def kron_conjugation_system(a, basis):
+    """The conjugation system as a stack of Kronecker products, one mu at a time."""
+    eye = np.eye(4, dtype=np.complex128)
+    rows = []
+    for mu in range(4):
+        gp = np.einsum("n,nij->ij", a[:, mu], basis.gammas)
+        rows.append(np.kron(eye, basis.gammas[mu].T) - np.kron(gp, eye))
+    return np.vstack(rows)
+
+
+def test_conjugation_system_equals_kron_stack(basis, skew_basis, rng):
+    for b in (basis, skew_basis):
+        for _ in range(10):
+            a = rng.normal(size=(4, 4))
+            np.testing.assert_array_equal(tr.conjugation_system(a, b),
+                                          kron_conjugation_system(a, b))
+
+
+def test_spin_lift_matrix_unchanged_by_thin_svd(basis, skew_basis, rng):
+    for b in (basis, skew_basis):
+        for i in range(10):
+            a = tr.random_lorentz(rng, b.metric) * (-1 if i % 3 == 2 else 1)
+            _, _, vh = np.linalg.svd(tr.conjugation_system(a, b))  # full U
+            expected, branch = tr._normalize_phase(vh[-1].conj().reshape(4, 4), b)
+            s = tr.spin_lift(a, b)
+            np.testing.assert_array_equal(s.matrix, expected)
+            assert s.branch == branch
+
+
 def test_lift_works_for_non_minkowski_metric(rng):
     g = gr.Metric(np.diag([2.0, -1.0, -3.0, -0.5]))
     basis = iso.dirac_matrices(g)
@@ -277,6 +315,23 @@ def test_gl4_action_invertible(mink, basis, rng):
         np.testing.assert_allclose(act(act_inv(m)), m, atol=1e-10)
 
 
+def test_gl4_action_matches_blade_round_trip(basis, skew_basis, rng):
+    for b in (basis, skew_basis):
+        for _ in range(20):
+            a = rng.normal(size=(4, 4))
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            pushed = tr.exterior_pushforward(a) @ iso.matrix_to_clifford(m, b).coeffs
+            expected = iso.clifford_to_matrix(cl.CliffordElement(pushed), b)
+            np.testing.assert_allclose(tr.gl4_on_matrices(a, b)(m), expected, rtol=0, atol=1e-13)
+
+
+def test_gl4_action_rejects_non_4x4(basis):
+    act = tr.gl4_on_matrices(np.eye(4), basis)
+    for bad in (np.eye(3), np.zeros(16)):
+        with pytest.raises(ValueError):
+            act(bad)
+
+
 # ---------------------------------------------------------------------------
 # proposition checker and grade preservation
 
@@ -324,3 +379,15 @@ def test_random_lorentz_general_metric(rng):
     for _ in range(10):
         a = tr.random_lorentz(rng, g)
         assert tr.isometry_defect(a, g) < 1e-9
+
+
+@pytest.mark.parametrize("norm", [0.0, 0.1, 3.0, 10.0])
+def test_expm_matches_scipy(mink, rng, norm):
+    for g in (mink, SKEW):
+        for _ in range(20):
+            k = rng.normal(size=(4, 4))
+            x = np.linalg.solve(g.g, k - k.T)
+            x *= norm / np.linalg.norm(x, 2)
+            expected = expm(x)
+            gap = np.abs(tr._expm(x) - expected).max()
+            assert gap <= 1e-12 * np.abs(expected).max()
