@@ -60,25 +60,16 @@ for _a in range(NBLADES):
         if _s:
             WEDGE_TENSOR[_a, _b, _a | _b] = _s
 
-# sign picked up when generator i enters blade b from the left / is removed
-# from the left (position counted among ascending factors below i), and the
-# mirrored versions acting from the right (factors above i).
-INSERT_LEFT_SIGN = np.zeros((DIM, NBLADES), dtype=np.int8)
-REMOVE_LEFT_SIGN = np.zeros((DIM, NBLADES), dtype=np.int8)
-INSERT_RIGHT_SIGN = np.zeros((DIM, NBLADES), dtype=np.int8)
-REMOVE_RIGHT_SIGN = np.zeros((DIM, NBLADES), dtype=np.int8)
-for _i in range(DIM):
-    _bit = 1 << _i
-    _below = _bit - 1
-    for _b in range(NBLADES):
-        _lo = bin(_b & _below).count("1")
-        _hi = bin(_b >> (_i + 1)).count("1")
-        if _b & _bit:
-            REMOVE_LEFT_SIGN[_i, _b] = _parity_sign(_lo)
-            REMOVE_RIGHT_SIGN[_i, _b] = _parity_sign(_hi)
-        else:
-            INSERT_LEFT_SIGN[_i, _b] = _parity_sign(_lo)
-            INSERT_RIGHT_SIGN[_i, _b] = _parity_sign(_hi)
+# sign picked up when generator i enters blade b from the left or the right
+# (e_i ^ e_b or e_b ^ e_i), and when it leaves b from the left or the right,
+# which is the insertion sign read at b ^ bit(i); each is 0 where the move
+# does not apply
+_GEN = (1 << np.arange(DIM))[:, None]
+_ALL = np.arange(NBLADES)
+INSERT_LEFT_SIGN = WEDGE_SIGN[_GEN, _ALL]
+INSERT_RIGHT_SIGN = WEDGE_SIGN[_ALL, _GEN]
+REMOVE_LEFT_SIGN = WEDGE_SIGN[_GEN, _ALL ^ _GEN]
+REMOVE_RIGHT_SIGN = WEDGE_SIGN[_ALL ^ _GEN, _GEN]
 
 # grade involution signs used by reversion/parity maps
 REVERSION_SIGN = np.array(

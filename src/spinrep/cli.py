@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +32,6 @@ PRESETS = {
     "minkowski+---": [1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, -1.0],
     "minkowski-+++": [-1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0],
 }
-
-
-@dataclass
-class RunConfig:
-    metric: gr.Metric
-    seed: int = 0
-    tol: float | None = None
-    samples: int | None = None
-    json_output: bool = False
 
 
 def parse_matrix4(text: str) -> np.ndarray:
@@ -74,30 +64,23 @@ def parse_matrix4(text: str) -> np.ndarray:
     return m
 
 
-def load_metric(spec: str, det_tol: float = gr.DEFAULT_DET_TOL) -> gr.Metric:
+def load_metric(spec: str) -> gr.Metric:
     if spec in PRESETS:
         m = np.array(PRESETS[spec], dtype=np.float64).reshape(4, 4)
     else:
         m = parse_matrix4(spec)
     if not np.array_equal(m, m.T):
         raise ConfigError("metric must be symmetric")
-    metric = gr.Metric(m, det_tol=det_tol)
     try:
-        metric.require_nondegenerate()
+        return gr.Metric(m)
     except DegenerateMetric as exc:
         raise ConfigError(f"degenerate metric: {exc}") from None
-    return metric
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", default="minkowski+---",
                         help="metric preset, 16 comma-separated reals, or JSON file path; "
                              "write --metric=-1,0,... when the first entry is negative")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the per-check tolerances")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="override the per-check sample counts")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
@@ -109,11 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     _add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="override the per-check tolerances")
+    p_verify.add_argument("--samples", type=int, default=None,
+                          help="override the per-check sample counts")
     p_verify.add_argument("--suite", action="append", default=None,
                           help=f"suite to run, repeatable (default: all of {', '.join(SUITE_NAMES)})")
 
     p_lift = sub.add_parser("lift", help="conjugating element for a linear map")
     _add_common(p_lift)
+    p_lift.add_argument("--tol", type=float, default=None,
+                        help=f"isometry tolerance (default {tr.DEFAULT_ISOMETRY_TOL:g})")
     p_lift.add_argument("map", help="16 comma-separated reals or JSON file path; "
                                     "write 'spinrep lift -- MAP' when the first entry is negative")
 
@@ -123,45 +113,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.tol is not None and args.tol <= 0:
-        raise ConfigError("--tol must be positive")
-    if args.samples is not None and args.samples < 1:
-        raise ConfigError("--samples must be at least 1")
-    return RunConfig(
-        metric=load_metric(args.metric),
-        seed=args.seed,
-        tol=args.tol,
-        samples=args.samples,
-        json_output=args.json,
-    )
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ConfigError("--tol must be finite and positive")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    _check_tol(args.tol)
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
+    metric = load_metric(args.metric)
     requested = args.suite or list(SUITE_NAMES)
     bad = sorted(set(requested) - set(SUITE_NAMES))
     if bad:
         raise ConfigError(f"unknown suite(s): {', '.join(bad)}; choose from {', '.join(SUITE_NAMES)}")
     requested = [s for s in SUITE_NAMES if s in requested]
-    ctx = SuiteContext(metric=config.metric, seed=config.seed, samples=config.samples,
-                       tol=config.tol)
+    ctx = SuiteContext(metric=metric, seed=args.seed, samples=args.samples, tol=args.tol)
     report = Report(
-        seed=config.seed,
-        metric=config.metric.g.tolist(),
+        seed=args.seed,
+        metric=metric.g.tolist(),
         tolerances={
-            "tol_override": config.tol if config.tol is not None else 0.0,
-            "det_tol": config.metric.det_tol,
+            "tol_override": args.tol if args.tol is not None else 0.0,
+            "det_tol": metric.det_tol,
             "isometry_tol": tr.DEFAULT_ISOMETRY_TOL,
         },
         version=__version__,
-        samples=config.samples,
+        samples=args.samples,
         suites=requested,
         skipped=[s for s in SUITE_NAMES if s not in requested],
     )
     for name in requested:
         report.extend(run_suite(name, ctx))
-    if config.json_output:
+    if args.json:
         print(report.to_json())
     else:
         for line in report.summary_lines():
@@ -184,14 +167,15 @@ def _format_sigma(sigma: tr.SpinElement) -> list[str]:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    _check_tol(args.tol)
+    metric = load_metric(args.metric)
     a = parse_matrix4(args.map)
-    basis = iso.dirac_matrices(config.metric)
-    defect = tr.isometry_defect(a, config.metric)
-    isometry_tol = config.tol if config.tol is not None else tr.DEFAULT_ISOMETRY_TOL
+    basis = iso.dirac_matrices(metric)
+    defect = tr.isometry_defect(a, metric)
+    isometry_tol = args.tol if args.tol is not None else tr.DEFAULT_ISOMETRY_TOL
     if defect < isometry_tol:
         sigma = tr.spin_lift(a, basis, isometry_tol)
-        if config.json_output:
+        if args.json:
             payload = {
                 "schema": "spinrep-lift/1",
                 "isometry": True,
@@ -209,7 +193,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         return 0
     svals = tr.conjugation_singular_values(a, basis)
     verdict = "null space trivial" if svals[-1] > 1e-6 else "null space unexpectedly nontrivial"
-    if config.json_output:
+    if args.json:
         payload = {
             "schema": "spinrep-lift/1",
             "isometry": False,
@@ -246,12 +230,11 @@ def _format_entry(coeffs: np.ndarray, symbol: str, unit: str) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    g = config.metric
+    g = load_metric(args.metric)
     if args.which == "hodge":
         scalars = gr.star_star_scalars(g)
         ratios = gr.contraction_vs_vee_table(g)
-        if config.json_output:
+        if args.json:
             print(json.dumps({
                 "schema": "spinrep-table/1",
                 "table": "hodge",
@@ -279,7 +262,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 row.append(_format_entry(gr.wedge(a, b).coeffs, symbol, unit))
         entries.append(row)
     labels = [blade_label(b, symbol, unit) for b in range(NBLADES)]
-    if config.json_output:
+    if args.json:
         print(json.dumps({
             "schema": "spinrep-table/1",
             "table": args.which,

@@ -67,9 +67,9 @@ def _blade_products(gens: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _structure_cached(gkey: bytes, det_tol: float) -> np.ndarray:
+def _structure_cached(g: Metric) -> np.ndarray:
     """Real structure tensor: the stack of the 16 blade operators."""
-    tensor = _blade_products(_gamma_ops_cached(gkey, det_tol).real)
+    tensor = _blade_products(_gamma_ops_cached(g).real)
     tensor.flags.writeable = False
     return tensor
 
@@ -79,8 +79,7 @@ def product_tensor(g: Metric) -> np.ndarray:
 
     t[i] is the operator of left multiplication by basis blade i.
     """
-    g.require_nondegenerate()
-    return _structure_cached(g.key(), g.det_tol)
+    return _structure_cached(g)
 
 
 def geometric_product(a: CliffordElement, b: CliffordElement, g: Metric) -> CliffordElement:

@@ -36,9 +36,8 @@ def hodge_dirac_symbol(lam: np.ndarray, g: Metric) -> np.ndarray:
     By construction equals sum_mu lambda_mu (delta_mu + delta*_mu), the sum of
     exterior multiplication and contraction weighted by the exponent.
     """
-    g.require_nondegenerate()
     lam = np.asarray(lam, dtype=np.complex128)
-    return np.einsum("m,mkl->kl", lam, _gamma_ops_cached(g.key(), g.det_tol))
+    return np.einsum("m,mkl->kl", lam, _gamma_ops_cached(g))
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,15 @@ from .errors import DegenerateMetric
 DEFAULT_DET_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
-    """Symmetric real 4x4 bilinear form.
+    """Symmetric nondegenerate real 4x4 bilinear form.
 
-    The matrix is required to be symmetric exactly as stored; it is copied
-    and frozen on construction.  ``det_tol`` is the degeneracy threshold used
-    by every operation that needs the star or the contraction.
+    The matrix is required to be finite and symmetric exactly as stored; it
+    is copied and frozen on construction.  ``det_tol`` is the degeneracy
+    threshold: construction raises :class:`DegenerateMetric` when |det g| is
+    below it, so every ``Metric`` that exists has a star and a contraction.
+    Metrics compare and hash by ``g`` alone, so one value is one cache entry.
     """
 
     g: np.ndarray
@@ -56,30 +58,31 @@ class Metric:
             raise ValueError("metric entries must be finite")
         if not np.array_equal(g, g.T):
             raise ValueError("metric must be symmetric exactly as stored")
+        det = float(np.linalg.det(g))
+        if abs(det) < self.det_tol:
+            raise DegenerateMetric(f"|det g| = {abs(det):.3e} below tolerance {self.det_tol:.3e}")
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
-        # not a field, so equality and key() see only g and det_tol
-        object.__setattr__(self, "_det", float(np.linalg.det(g)))
+        # not fields: det is derived, and _bytes is what equality and the hash
+        # compare, with -0.0 read as 0.0 as np.array_equal reads it
+        object.__setattr__(self, "_det", det)
+        object.__setattr__(self, "_bytes", (g + 0.0).tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Metric):
+            return NotImplemented
+        return self._bytes == other._bytes
+
+    def __hash__(self) -> int:
+        return hash(self._bytes)  # bytes keep their hash after the first call
 
     @property
     def det(self) -> float:
         return self._det
 
-    def is_degenerate(self) -> bool:
-        return abs(self.det) < self.det_tol
-
-    def require_nondegenerate(self) -> None:
-        if self.is_degenerate():
-            raise DegenerateMetric(
-                f"|det g| = {abs(self.det):.3e} below tolerance {self.det_tol:.3e}"
-            )
-
     def inner(self, v: np.ndarray, w: np.ndarray) -> complex:
         """Bilinear pairing g(v, w) of two (possibly complex) 4-vectors."""
         return complex(np.asarray(v) @ self.g @ np.asarray(w))
-
-    def key(self) -> bytes:
-        return self.g.tobytes()
 
 
 def minkowski(signature: str = "+---") -> Metric:
@@ -227,7 +230,6 @@ def delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     omitted; the alternating sign starts positive so that the generator
     operators square to the metric.
     """
-    g.require_nondegenerate()
     return _sign_matrix(g.g @ np.asarray(v, dtype=np.complex128), REMOVE_LEFT_SIGN)
 
 
@@ -238,7 +240,6 @@ def right_delta_matrix(v: np.ndarray) -> np.ndarray:
 
 def right_delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     """Matrix of the metric contraction by ``v`` acting from the right."""
-    g.require_nondegenerate()
     return _sign_matrix(g.g @ np.asarray(v, dtype=np.complex128), REMOVE_RIGHT_SIGN)
 
 
@@ -262,21 +263,20 @@ def right_delta_star(v: np.ndarray, a: GrassmannElement, g: Metric) -> Grassmann
     return GrassmannElement(right_delta_star_matrix(v, g) @ a.coeffs)
 
 
-def _generator_ops(gkey: bytes, det_tol: float, raise_op, lower_op) -> np.ndarray:
-    g = Metric(np.frombuffer(gkey, dtype=np.float64).reshape(DIM, DIM), det_tol)
+def _generator_ops(g: Metric, raise_op, lower_op) -> np.ndarray:
     ops = np.stack([raise_op(e) + lower_op(e, g) for e in np.eye(DIM)])
     ops.flags.writeable = False
     return ops
 
 
 @lru_cache(maxsize=128)
-def _gamma_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
-    return _generator_ops(gkey, det_tol, delta_matrix, delta_star_matrix)
+def _gamma_ops_cached(g: Metric) -> np.ndarray:
+    return _generator_ops(g, delta_matrix, delta_star_matrix)
 
 
 @lru_cache(maxsize=128)
-def _right_gamma_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
-    return _generator_ops(gkey, det_tol, right_delta_matrix, right_delta_star_matrix)
+def _right_gamma_ops_cached(g: Metric) -> np.ndarray:
+    return _generator_ops(g, right_delta_matrix, right_delta_star_matrix)
 
 
 def gamma_op(i: int, g: Metric) -> np.ndarray:
@@ -287,16 +287,14 @@ def gamma_op(i: int, g: Metric) -> np.ndarray:
     """
     if not 0 <= i < DIM:
         raise ValueError(f"generator index must be in 0..3, got {i}")
-    g.require_nondegenerate()
-    return _gamma_ops_cached(g.key(), g.det_tol)[i]
+    return _gamma_ops_cached(g)[i]
 
 
 def right_gamma_op(i: int, g: Metric) -> np.ndarray:
     """Mirror of :func:`gamma_op` built from the right-acting operators."""
     if not 0 <= i < DIM:
         raise ValueError(f"generator index must be in 0..3, got {i}")
-    g.require_nondegenerate()
-    return _right_gamma_ops_cached(g.key(), g.det_tol)[i]
+    return _right_gamma_ops_cached(g)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +309,7 @@ for _a in range(NBLADES):
 
 
 @lru_cache(maxsize=128)
-def _hodge_matrix_cached(gkey: bytes, det_tol: float, osign: int) -> np.ndarray:
-    g = Metric(np.frombuffer(gkey, dtype=np.float64).reshape(DIM, DIM), det_tol)
-    g.require_nondegenerate()
+def _hodge_matrix_cached(g: Metric, osign: int) -> np.ndarray:
     h = osign / np.sqrt(abs(g.det)) * (_COMPLEMENT @ _kernels.compound16(g.g))
     h.flags.writeable = False
     return h
@@ -321,7 +317,7 @@ def _hodge_matrix_cached(gkey: bytes, det_tol: float, osign: int) -> np.ndarray:
 
 def hodge_matrix(g: Metric, o: Orientation = Orientation()) -> np.ndarray:
     """16x16 matrix of the Hodge star for metric ``g`` and orientation ``o``."""
-    return _hodge_matrix_cached(g.key(), g.det_tol, o.sign)
+    return _hodge_matrix_cached(g, o.sign)
 
 
 def hodge(a: GrassmannElement, g: Metric, o: Orientation = Orientation()) -> GrassmannElement:

@@ -39,9 +39,12 @@ def _standard_gammas() -> np.ndarray:
     return gammas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaBasis:
-    """Four concrete 4x4 generator matrices together with the metric they represent."""
+    """Four concrete 4x4 generator matrices together with the metric they represent.
+
+    Bases compare and hash by ``gammas`` alone, which determine the metric.
+    """
 
     gammas: np.ndarray
     metric: Metric
@@ -52,9 +55,16 @@ class GammaBasis:
             raise ValueError(f"expected four 4x4 matrices, got shape {g.shape}")
         g.flags.writeable = False
         object.__setattr__(self, "gammas", g)
+        # not a field: what equality and the hash compare, -0.0 read as 0.0
+        object.__setattr__(self, "_bytes", (g + 0.0).tobytes())
 
-    def key(self) -> bytes:
-        return self.gammas.tobytes()
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GammaBasis):
+            return NotImplemented
+        return self._bytes == other._bytes
+
+    def __hash__(self) -> int:
+        return hash(self._bytes)
 
 
 def anticommutator_defect(basis: GammaBasis) -> float:
@@ -78,7 +88,6 @@ def dirac_matrices(g: Metric) -> GammaBasis:
     generators.  Raises :class:`NoRealFactorization` unless exactly one or
     exactly three eigenvalues are positive.
     """
-    g.require_nondegenerate()
     base = _standard_gammas()
     diag = np.diagonal(g.g)
     if np.count_nonzero(g.g - np.diag(diag)) == 0:
@@ -129,10 +138,10 @@ def left_rep(L: CliffordElement, g: Metric) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _right_blade_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
+def _right_blade_ops_cached(g: Metric) -> np.ndarray:
     # right multiplication reverses products, so the transposed operators
     # compose like the left ones
-    gens = _right_gamma_ops_cached(gkey, det_tol).real.transpose(0, 2, 1)
+    gens = _right_gamma_ops_cached(g).real.transpose(0, 2, 1)
     ops = np.ascontiguousarray(_blade_products(gens).transpose(0, 2, 1))
     ops.flags.writeable = False
     return ops
@@ -140,13 +149,12 @@ def _right_blade_ops_cached(gkey: bytes, det_tol: float) -> np.ndarray:
 
 def right_rep(R: CliffordElement, g: Metric) -> np.ndarray:
     """Operator matching right multiplication by ``R``; commutes with left_rep images."""
-    g.require_nondegenerate()
-    return np.einsum("i,ikl->kl", R.coeffs, _right_blade_ops_cached(g.key(), g.det_tol))
+    return np.einsum("i,ikl->kl", R.coeffs, _right_blade_ops_cached(g))
 
 
 @lru_cache(maxsize=64)
-def _matrix_basis_cached(bkey: bytes):
-    stack = _blade_products(np.frombuffer(bkey, dtype=np.complex128).reshape(DIM, 4, 4))
+def _matrix_basis_cached(basis: GammaBasis):
+    stack = _blade_products(basis.gammas)
     flat = stack.reshape(NBLADES, 16).T  # columns are vectorized basis matrices
     flat_inv = np.linalg.inv(flat)
     stack.flags.writeable = False
@@ -156,7 +164,7 @@ def _matrix_basis_cached(bkey: bytes):
 
 def gamma_blade_matrices(basis: GammaBasis) -> np.ndarray:
     """Stack of the 16 antisymmetrised generator-product matrices (unit first)."""
-    return _matrix_basis_cached(basis.key())[0]
+    return _matrix_basis_cached(basis)[0]
 
 
 def clifford_to_matrix(a: CliffordElement, basis: GammaBasis) -> np.ndarray:
@@ -169,7 +177,7 @@ def matrix_to_clifford(m: np.ndarray, basis: GammaBasis) -> CliffordElement:
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-    coeffs = _matrix_basis_cached(basis.key())[1] @ m.reshape(16)
+    coeffs = _matrix_basis_cached(basis)[1] @ m.reshape(16)
     return CliffordElement(coeffs)
 
 

@@ -55,9 +55,6 @@ class Report:
     skipped: list[str] = field(default_factory=list)
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
-
     def extend(self, checks: list[CheckResult]) -> None:
         self.checks.extend(checks)
 

@@ -23,6 +23,7 @@ from . import grassmann as gr
 from . import isomorphisms as iso
 from . import transforms as tr
 from ._tables import BLADE_BITS, GRADE, NBLADES
+from .errors import DegenerateMetric
 from .report import FAIL, PASS, CheckResult
 
 
@@ -364,8 +365,9 @@ def _check_gamma_basis_factorization(ctx: SuiteContext) -> CheckResult:
     worst = 0.0
     for _ in range(n):
         a = tr.random_lorentz(rng, mink) @ (np.eye(4) + 0.2 * rng.normal(size=(4, 4)))
-        g = tr.metric_pullback(a, mink)
-        if g.is_degenerate():
+        try:
+            g = tr.metric_pullback(a, mink)
+        except DegenerateMetric:
             continue
         basis = iso.dirac_matrices(g)
         worst = max(worst, iso.anticommutator_defect(basis))
@@ -383,15 +385,12 @@ def _check_substitution_metric(ctx: SuiteContext) -> CheckResult:
     tol = ctx.tolerance(1e-11)
     basis = ctx.basis()
     worst = 0.0
-    eye = np.eye(4)
     for _ in range(n):
-        a = rng.normal(size=(4, 4))
-        newb = tr.substitute_gammas(a, basis)
-        gp = newb.metric.g
-        for mu in range(4):
-            for nu in range(4):
-                ac = newb.gammas[mu] @ newb.gammas[nu] + newb.gammas[nu] @ newb.gammas[mu]
-                worst = max(worst, float(np.abs(ac - 2 * gp[mu, nu] * eye).max()))
+        try:
+            newb = tr.substitute_gammas(rng.normal(size=(4, 4)), basis)
+        except DegenerateMetric:
+            continue  # on a metric with small |det g| some pullbacks fall below det_tol
+        worst = max(worst, iso.anticommutator_defect(newb))
     return _result("transforms", "substitution_matches_pullback", worst < tol, worst, n,
                    f"tol {tol:g}")
 
@@ -403,7 +402,7 @@ def _check_spin_lift(ctx: SuiteContext) -> CheckResult:
     g = ctx.metric
     basis = ctx.basis()
     maps = [tr.random_lorentz(rng, g) for _ in range(n)]
-    if gr.minkowski().g.tolist() == g.g.tolist():
+    if g == gr.minkowski():
         maps += [tr.parity_matrix(), tr.time_reversal_matrix()]
     worst, worst_a = 0.0, None
     for a in maps:

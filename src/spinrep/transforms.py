@@ -43,7 +43,11 @@ def is_isometry(a: np.ndarray, g: Metric, tol: float = DEFAULT_ISOMETRY_TOL) -> 
 
 
 def metric_pullback(a: np.ndarray, g: Metric) -> Metric:
-    """The metric A^T g A, symmetrized to machine exactness."""
+    """The metric A^T g A, symmetrized to machine exactness.
+
+    Raises :class:`DegenerateMetric` when it is degenerate, as it is for a
+    singular ``a``.
+    """
     a = np.asarray(a, dtype=np.float64)
     m = a.T @ g.g @ a
     return Metric((m + m.T) / 2.0, det_tol=g.det_tol)
@@ -52,7 +56,8 @@ def metric_pullback(a: np.ndarray, g: Metric) -> Metric:
 def substitute_gammas(a: np.ndarray, basis: GammaBasis) -> GammaBasis:
     """New generator set gamma'_mu = sum_nu A[nu, mu] gamma_nu.
 
-    The returned basis represents the pulled-back metric A^T g A.
+    The returned basis represents the pulled-back metric A^T g A, so a
+    singular ``a`` raises :class:`DegenerateMetric`.
     """
     return GammaBasis(_substituted(a, basis), metric_pullback(a, basis.metric))
 
@@ -209,7 +214,7 @@ class GL4Action:
         self.a = np.asarray(a, dtype=np.float64)
         self.basis = basis
         self.pushforward = exterior_pushforward(self.a)
-        stack, flat_inv = _matrix_basis_cached(basis.key())
+        stack, flat_inv = _matrix_basis_cached(basis)
         self._operator = stack.reshape(NBLADES, 16).T @ self.pushforward @ flat_inv
 
     def __call__(self, m: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from spinrep.suites import SUITE_NAMES
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+IDENTITY = ",".join(["1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1"])
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,9 @@ def test_verify_degenerate_metric_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "grassmann", "--metric", "inf,0,0,0,0,-1,0,0,0,0,-1,0,0,0,0,-1"],
     ["lift", "--", "nan,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
+    ["verify", "--suite", "grassmann", "--tol", "inf"],
+    ["verify", "--suite", "grassmann", "--tol", "nan"],
+    ["lift", "--tol", "inf", "--", "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
 ])
 def test_non_finite_input_exits_2_with_one_error_line(argv):
     proc = run_python("-m", "spinrep.cli", *argv)
@@ -106,6 +110,20 @@ def test_non_finite_input_exits_2_with_one_error_line(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "wedge", "--seed", "5"],
+    ["table", "wedge", "--samples", "3"],
+    ["table", "wedge", "--tol", "1"],
+    ["lift", "--seed", "5", IDENTITY],
+    ["lift", "--samples", "3", IDENTITY],
+])
+def test_flag_the_subcommand_does_not_use_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_does_not_import_scipy():
@@ -148,6 +166,17 @@ def test_verify_samples_override(capsys):
     assert "n=5" in out
 
 
+def test_verify_small_metric_skips_degenerate_pullbacks(capsys):
+    # |det g| is 5e-12: the pullback along some random maps of the
+    # substitution check falls below det_tol; those maps are skipped, and the
+    # run still reports instead of exiting 2
+    spec = ",".join(str(0.0015 * v) for v in np.diag([1.0, -1.0, -1.0, -1.0]).flatten())
+    code, out, err = run_cli(capsys, "verify", "--suite", "transforms", "--seed", "1",
+                             f"--metric={spec}")
+    assert (code, err) == (0, "")
+    assert "PASS  transforms.substitution_matches_pullback" in out
+
+
 def test_verify_metric_with_leading_minus(capsys):
     # argparse reads "--metric -1,..." as a missing value; the "=" form works
     code, out, _ = run_cli(capsys, "verify", "--suite", "grassmann",
@@ -173,8 +202,6 @@ def test_verify_non_diagonal_metric_passes_every_check(capsys):
 
 # ---------------------------------------------------------------------------
 # lift
-
-IDENTITY = ",".join(["1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1"])
 
 
 def test_lift_identity(capsys):

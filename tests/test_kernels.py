@@ -2,6 +2,7 @@ import numpy as np
 
 from spinrep import _kernels
 from spinrep import grassmann as gr
+from spinrep import _tables
 from spinrep._tables import BLADE_BITS, NBLADES, WEDGE_SIGN
 
 from conftest import random_element_coeffs
@@ -42,3 +43,23 @@ def test_compound16_equals_wedge_chain(rng):
     mats = [np.eye(4)] + [rng.normal(size=(4, 4)) for _ in range(50)]
     for a in mats:
         np.testing.assert_array_equal(_kernels.compound16(a), wedge_chain_pushforward(a))
+
+
+def test_insert_remove_signs_match_position_counting():
+    # the sign of generator i entering or leaving blade b from the left is the
+    # parity of b's factors below i; from the right, of those above i
+    def parity(n):
+        return -1 if n & 1 else 1
+
+    expected = {name: np.zeros((4, NBLADES), dtype=np.int8) for name in
+                ("INSERT_LEFT_SIGN", "REMOVE_LEFT_SIGN", "INSERT_RIGHT_SIGN", "REMOVE_RIGHT_SIGN")}
+    for i in range(4):
+        for b in range(NBLADES):
+            lo = bin(b & ((1 << i) - 1)).count("1")
+            hi = bin(b >> (i + 1)).count("1")
+            side = "REMOVE" if b >> i & 1 else "INSERT"
+            expected[f"{side}_LEFT_SIGN"][i, b] = parity(lo)
+            expected[f"{side}_RIGHT_SIGN"][i, b] = parity(hi)
+    for name, table in expected.items():
+        np.testing.assert_array_equal(getattr(_tables, name), table, err_msg=name)
+        assert getattr(_tables, name).dtype == np.int8
