@@ -203,24 +203,32 @@ def wedge(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
 # ---------------------------------------------------------------------------
 # boundary / coboundary operators as 16x16 matrices on coefficient vectors
 
-def _sign_matrix(w: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Sum over generators i of w[i] times generator i entering or leaving each blade.
+def _move_stack(table: np.ndarray) -> np.ndarray:
+    """(4, 16, 16) stack: slice i moves generator i into or out of each blade.
 
     ``table[i, b]`` is the sign of that move on blade b, which lands on blade
     b ^ bit(i); the table is zero where the move does not apply.
     """
-    w = np.asarray(w, dtype=np.complex128)
-    m = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
+    stack = np.zeros((DIM, NBLADES, NBLADES), dtype=np.complex128)
     cols = np.arange(NBLADES)
-    for i in range(DIM):
-        if w[i] != 0:
-            m[cols ^ (1 << i), cols] += w[i] * table[i]
-    return m
+    stack[np.arange(DIM)[:, None], cols ^ (1 << np.arange(DIM))[:, None], cols] = table
+    stack.flags.writeable = False
+    return stack
+
+
+_INSERT_LEFT = _move_stack(INSERT_LEFT_SIGN)
+_REMOVE_LEFT = _move_stack(REMOVE_LEFT_SIGN)
+_INSERT_RIGHT = _move_stack(INSERT_RIGHT_SIGN)
+_REMOVE_RIGHT = _move_stack(REMOVE_RIGHT_SIGN)
+
+
+def _contract(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    return np.einsum("i,ijk->jk", np.asarray(w, dtype=np.complex128), stack)
 
 
 def delta_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix of left exterior multiplication by the vector ``v``."""
-    return _sign_matrix(v, INSERT_LEFT_SIGN)
+    return _contract(v, _INSERT_LEFT)
 
 
 def delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
@@ -230,17 +238,17 @@ def delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     omitted; the alternating sign starts positive so that the generator
     operators square to the metric.
     """
-    return _sign_matrix(g.g @ np.asarray(v, dtype=np.complex128), REMOVE_LEFT_SIGN)
+    return _contract(g.g @ np.asarray(v, dtype=np.complex128), _REMOVE_LEFT)
 
 
 def right_delta_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix of right exterior multiplication: omega -> omega ^ v."""
-    return _sign_matrix(v, INSERT_RIGHT_SIGN)
+    return _contract(v, _INSERT_RIGHT)
 
 
 def right_delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     """Matrix of the metric contraction by ``v`` acting from the right."""
-    return _sign_matrix(g.g @ np.asarray(v, dtype=np.complex128), REMOVE_RIGHT_SIGN)
+    return _contract(g.g @ np.asarray(v, dtype=np.complex128), _REMOVE_RIGHT)
 
 
 def delta(v: np.ndarray, a: GrassmannElement) -> GrassmannElement:
@@ -263,20 +271,19 @@ def right_delta_star(v: np.ndarray, a: GrassmannElement, g: Metric) -> Grassmann
     return GrassmannElement(right_delta_star_matrix(v, g) @ a.coeffs)
 
 
-def _generator_ops(g: Metric, raise_op, lower_op) -> np.ndarray:
-    ops = np.stack([raise_op(e) + lower_op(e, g) for e in np.eye(DIM)])
+# generator i is delta_i + delta*_i, and delta*_i contracts with row i of g
+@lru_cache(maxsize=128)
+def _gamma_ops_cached(g: Metric) -> np.ndarray:
+    ops = _INSERT_LEFT + np.einsum("ij,jkl->ikl", g.g, _REMOVE_LEFT)
     ops.flags.writeable = False
     return ops
 
 
 @lru_cache(maxsize=128)
-def _gamma_ops_cached(g: Metric) -> np.ndarray:
-    return _generator_ops(g, delta_matrix, delta_star_matrix)
-
-
-@lru_cache(maxsize=128)
 def _right_gamma_ops_cached(g: Metric) -> np.ndarray:
-    return _generator_ops(g, right_delta_matrix, right_delta_star_matrix)
+    ops = _INSERT_RIGHT + np.einsum("ij,jkl->ikl", g.g, _REMOVE_RIGHT)
+    ops.flags.writeable = False
+    return ops
 
 
 def gamma_op(i: int, g: Metric) -> np.ndarray:

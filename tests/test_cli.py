@@ -164,6 +164,11 @@ def test_verify_samples_override(capsys):
                            "--samples", "5")
     assert code == 0
     assert "n=5" in out
+    # the covariance check judges max(1, n // 5) maps for each of its 5 waves
+    for samples in ("1", "7"):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "dirac", "--samples", samples)
+        assert code == 0
+        assert "PASS  dirac.isometry_covariance  residual=9.923e-15  n=5  " in out
 
 
 def test_verify_small_metric_skips_degenerate_pullbacks(capsys):
@@ -174,7 +179,25 @@ def test_verify_small_metric_skips_degenerate_pullbacks(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "transforms", "--seed", "1",
                              f"--metric={spec}")
     assert (code, err) == (0, "")
-    assert "PASS  transforms.substitution_matches_pullback" in out
+    # the count is of the maps judged, 23 of the 30 drawn
+    assert "PASS  transforms.substitution_matches_pullback  residual=6.939e-18  n=23  " in out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_non_finite_residual_fails(capsys):
+    # det g overflows and the products go NaN: max() dropped a NaN residual,
+    # so this run used to pass every check
+    spec = ",".join(str(v) for v in (1e100 * np.diag([1.0, -1.0, -1.0, -1.0])).flatten())
+    code, out, _ = run_cli(capsys, "verify", "--suite", "clifford", f"--metric={spec}", "--json")
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    by_name = {c["name"]: c for c in json.loads(out, parse_constant=reject)["checks"]}
+    check = by_name["reversion_antiautomorphism"]
+    assert (check["status"], check["residual"]) == ("fail", None)
+    assert "non-finite residual" in check["detail"]
 
 
 def test_verify_metric_with_leading_minus(capsys):

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinrep import grassmann as gr
-from spinrep._tables import BLADE_BITS, GRADE, NBLADES, TOP, WEDGE_SIGN
+from spinrep._tables import (
+    BLADE_BITS,
+    GRADE,
+    INSERT_LEFT_SIGN,
+    INSERT_RIGHT_SIGN,
+    NBLADES,
+    REMOVE_LEFT_SIGN,
+    REMOVE_RIGHT_SIGN,
+    TOP,
+    WEDGE_SIGN,
+)
 from spinrep.errors import DegenerateMetric
 
 from conftest import random_element_coeffs, random_symmetric_metric
@@ -256,6 +266,37 @@ def test_anticommutator_random_metrics(rng):
                 ac = ops[mu] @ ops[nu] + ops[nu] @ ops[mu]
                 worst = max(worst, np.abs(ac - 2 * g.g[mu, nu] * eye).max())
     assert worst < 1e-12
+
+
+def sign_matrix_oracle(w, table):
+    """Sum over generators i of w[i] times generator i entering or leaving each blade, by loop."""
+    w = np.asarray(w, dtype=np.complex128)
+    m = np.zeros((NBLADES, NBLADES), dtype=np.complex128)
+    cols = np.arange(NBLADES)
+    for i in range(4):
+        if w[i] != 0:
+            m[cols ^ (1 << i), cols] += w[i] * table[i]
+    return m
+
+
+def test_closed_form_operators_equal_loop_oracle(rng):
+    # the generator operators and the four delta matrices contract against
+    # precomputed stacks; each entry has one nonzero term, so they are exact
+    metrics = [gr.minkowski(), gr.minkowski("-+++")]
+    metrics += [random_symmetric_metric(rng) for _ in range(200)]
+    sides = ((gr._gamma_ops_cached, gr.delta_matrix, gr.delta_star_matrix,
+              INSERT_LEFT_SIGN, REMOVE_LEFT_SIGN),
+             (gr._right_gamma_ops_cached, gr.right_delta_matrix, gr.right_delta_star_matrix,
+              INSERT_RIGHT_SIGN, REMOVE_RIGHT_SIGN))
+    for g in metrics:
+        v = random_element_coeffs(rng)[:4]
+        for cached, raise_op, lower_op, insert, remove in sides:
+            ops = cached(g)
+            for i, e in enumerate(np.eye(4)):
+                expected = sign_matrix_oracle(e, insert) + sign_matrix_oracle(g.g @ e, remove)
+                np.testing.assert_array_equal(ops[i], expected)
+            np.testing.assert_array_equal(raise_op(v), sign_matrix_oracle(v, insert))
+            np.testing.assert_array_equal(lower_op(v, g), sign_matrix_oracle(g.g @ v, remove))
 
 
 # ---------------------------------------------------------------------------
