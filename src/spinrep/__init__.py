@@ -14,11 +14,8 @@ from ._version import __version__
 from .clifford import CliffordElement, even_part, geometric_product, grade_project, reversion
 from .dirac import (
     PlaneWave,
-    ProductState,
     covariance_residual,
-    entanglement_probe,
     hodge_dirac_symbol,
-    make_product_state,
     plane_wave_solutions,
     symbol_matrix,
     transform_plane_wave,
@@ -66,6 +63,7 @@ from .transforms import (
     metric_pullback,
     random_lorentz,
     spin_lift,
+    spinor_factorization,
     substitute_gammas,
     transport_residual,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "Metric",
     "Orientation",
     "PlaneWave",
-    "ProductState",
     "SpinElement",
     "SpinrepError",
     "ConfigError",
@@ -91,7 +88,6 @@ __all__ = [
     "delta",
     "delta_star",
     "dirac_matrices",
-    "entanglement_probe",
     "even_part",
     "exterior_pushforward",
     "gamma_op",
@@ -103,7 +99,6 @@ __all__ = [
     "hodge_dirac_symbol",
     "is_isometry",
     "left_rep",
-    "make_product_state",
     "matrix_to_clifford",
     "matrix_wedge",
     "metric_pullback",
@@ -116,6 +111,7 @@ __all__ = [
     "right_gamma_op",
     "right_rep",
     "spin_lift",
+    "spinor_factorization",
     "substitute_gammas",
     "symbol_matrix",
     "to_clifford",

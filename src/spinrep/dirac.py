@@ -3,8 +3,9 @@
 A plane wave is a constant 4x4 amplitude times exp(sum_mu lambda_mu x_mu);
 substituting the derivative by the exponent covector turns the Dirac operator
 into the symbol matrix sum_mu lambda_mu gamma_mu.  The module also carries the
-operator form of the same symbol on the 16-dim exterior space, rank-1 product
-states and the probe measuring how a general linear map mixes them.
+operator form of the same symbol on the 16-dim exterior space.  Whether a map
+acts on the spinor factor of Mat(4) = S (x) S* alone is
+:func:`spinrep.transforms.spinor_factorization`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .clifford import CliffordElement
 from .grassmann import Metric, _gamma_ops_cached
 from .isomorphisms import GammaBasis
-from .transforms import DEFAULT_ISOMETRY_TOL, gl4_on_matrices, spin_lift
+from .transforms import DEFAULT_ISOMETRY_TOL, spin_lift
 
 
 def symbol_matrix(lam: np.ndarray, basis: GammaBasis) -> np.ndarray:
@@ -164,42 +165,3 @@ def covariance_residual(
     raises :class:`NotIsometry` otherwise.
     """
     return transform_plane_wave(a, wave, basis, isometry_tol).residual(basis)
-
-
-@dataclass(frozen=True)
-class ProductState:
-    """Rank-one matrix state psi alpha^T."""
-
-    psi: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self) -> None:
-        psi = np.array(self.psi, dtype=np.complex128)
-        alpha = np.array(self.alpha, dtype=np.complex128)
-        if psi.shape != (4,) or alpha.shape != (4,):
-            raise ValueError("product state needs two complex 4-vectors")
-        psi.flags.writeable = False
-        alpha.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "alpha", alpha)
-
-    def materialize(self) -> np.ndarray:
-        return np.outer(self.psi, self.alpha)
-
-
-def make_product_state(psi: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Matrix M with M[i, j] = psi[i] alpha[j]; rank one when both are nonzero."""
-    return ProductState(psi, alpha).materialize()
-
-
-def entanglement_probe(a: np.ndarray, state: ProductState, basis: GammaBasis) -> np.ndarray:
-    """Singular values (descending) of the transported product state.
-
-    Conjugation-type actions keep the second singular value at zero; a
-    general invertible map mixes the two tensor factors and lifts it.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if abs(np.linalg.det(a)) < 1e-12:
-        raise ValueError("probe requires an invertible map")
-    action = gl4_on_matrices(a, basis)
-    return np.linalg.svd(action(state.materialize()), compute_uv=False)

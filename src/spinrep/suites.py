@@ -48,7 +48,7 @@ from . import dirac as dr
 from . import grassmann as gr
 from . import isomorphisms as iso
 from . import transforms as tr
-from ._tables import BLADE_BITS, GRADE, NBLADES, TOP
+from ._tables import BLADE_BITS, BLADES_BY_GRADE, GRADE, NBLADES, TOP
 from .errors import DegenerateMetric
 from .report import FAIL, PASS, CheckResult
 
@@ -110,6 +110,20 @@ def _random_vector(rng: np.random.Generator) -> np.ndarray:
 
 def _random_matrix(rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+
+def _isometries(rng: np.random.Generator, g: gr.Metric, n: int) -> Iterator[np.ndarray]:
+    """n random isometries of ``g``, every third one on the -A branch."""
+    for i in range(n):
+        a = tr.random_lorentz(rng, g)
+        yield -a if i % 3 == 2 else a  # opposite branch of the special orthogonal group
+
+
+def _well_conditioned_map(rng: np.random.Generator) -> np.ndarray:
+    """Q1 diag(s) Q2 with orthogonal Q1, Q2 and s in [0.5, 2]: condition number at most 4."""
+    q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    return q1 @ np.diag(rng.uniform(0.5, 2.0, size=4)) @ q2
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +371,22 @@ def _no_lift_for_non_isometry(ctx, rng, n, tol):
     return smallest > 1e-6, smallest, n, "smallest normalized singular value must stay > 1e-6"
 
 
+# per grade: its blades, and each blade's generator indices as one row
+_GRADE_INDICES = tuple((np.array(blades), np.array([BLADE_BITS[b] for b in blades], dtype=np.intp))
+                       for blades in BLADES_BY_GRADE)
+
+
 def _pushforward(ctx, rng, n):
     for _ in range(n):
         a = rng.normal(size=(4, 4))
         p = tr.exterior_pushforward(a)
         # independent oracle: every block entry is a minor determinant (the
-        # grade-1 block is a itself, the top entry det a), off-block entries vanish
+        # grade-1 block is a itself, the top entry det a, the empty minor 1),
+        # off-block entries vanish
         oracle = np.zeros((NBLADES, NBLADES))
-        for out_b in range(NBLADES):
-            for in_b in range(NBLADES):
-                rows, cols = BLADE_BITS[out_b], BLADE_BITS[in_b]
-                if len(rows) == len(cols):
-                    oracle[out_b, in_b] = np.linalg.det(a[np.ix_(rows, cols)]) if rows else 1.0
+        for blades, bits in _GRADE_INDICES:
+            minors = a[bits[:, None, :, None], bits[None, :, None, :]]
+            oracle[np.ix_(blades, blades)] = np.linalg.det(minors)
         b = rng.normal(size=(4, 4))
         functor = tr.exterior_pushforward(a @ b) - p @ tr.exterior_pushforward(b)
         yield _maxabs([_maxabs(p - oracle), _maxabs(functor)])
@@ -377,7 +395,7 @@ def _pushforward(ctx, rng, n):
 def _gl4_invertibility(ctx, rng, n):
     basis = ctx.basis()
     for _ in range(n):
-        a = tr.random_invertible_non_isometry(rng, ctx.metric, min_defect=0.0)
+        a = _well_conditioned_map(rng)
         act, act_inv = tr.gl4_on_matrices(a, basis), tr.gl4_on_matrices(np.linalg.inv(a), basis)
         m = _random_matrix(rng)
         yield _maxabs(act(act_inv(m)) - m)
@@ -390,10 +408,7 @@ def _gl4_invertibility(ctx, rng, n):
 def _proposition_isometry(ctx, rng, n):
     basis = ctx.basis()
     blades = iso.gamma_blade_matrices(basis)
-    for i in range(n):
-        a = tr.random_lorentz(rng, ctx.metric)
-        if i % 3 == 2:
-            a = -a  # opposite branch of the special orthogonal group
+    for a in _isometries(rng, ctx.metric, n):
         yield tr.transport_residual(a, basis, blades), a
 
 
@@ -525,36 +540,30 @@ def _covariance(ctx, rng, n):
             yield dr.covariance_residual(tr.random_lorentz(rng, g), wave, basis)
 
 
-def _lmr_structure(ctx, rng, n):
-    for _ in range(n):
-        psi, alpha = _random_vector(rng), _random_vector(rng)
-        left, right = _random_matrix(rng), _random_matrix(rng)
-        lhs = left @ dr.make_product_state(psi, alpha) @ right
-        yield _maxabs(lhs - dr.make_product_state(left @ psi, right.T @ alpha))
-
-
-def _lorentz_rank(ctx, rng, n):
+def _realigned_factor(ctx, rng, n):
+    # the 64x16 conjugation-system SVD inside spin_lift is the independent
+    # oracle; comparing conjugations cancels the free scale and phase
     basis = ctx.basis()
-    for _ in range(n):
-        state = dr.ProductState(_random_vector(rng), _random_vector(rng))
-        sv = dr.entanglement_probe(tr.random_lorentz(rng, ctx.metric), state, basis)
-        yield float(sv[1] / sv[0])
+    for a in _isometries(rng, ctx.metric, n):
+        m = tr.spinor_factorization(a, basis)[1]
+        s = tr.spin_lift(a, basis)
+        yield _maxabs(m @ basis.gammas @ np.linalg.inv(m)
+                      - s.matrix @ basis.gammas @ s.inverse_matrix), a
 
 
-def _entanglement_exhibit(ctx, rng, n, tol):
+def _isometry_rank(ctx, rng, n):
     basis = ctx.basis()
+    for a in _isometries(rng, ctx.metric, n):
+        yield tr.spinor_factorization(a, basis)[0], a
 
-    def ratio(a, state):
-        sv = dr.entanglement_probe(a, state, basis)
-        return float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
 
-    e0 = np.eye(4)[0].astype(complex)
-    ratios = [ratio(np.diag([1.0, 2.0, 3.0, 4.0]), dr.ProductState(e0, e0))]
-    for _ in range(n):
-        a = tr.random_invertible_non_isometry(rng, ctx.metric)
-        ratios.append(ratio(a, dr.ProductState(_random_vector(rng), _random_vector(rng))))
-    best = float(np.max(ratios))  # np.max keeps a NaN, max() would drop it
-    return best > 1e-3, best, n + 1, "largest second/first singular value ratio found"
+def _non_isometry_mixing(ctx, rng, n, tol):
+    basis = ctx.basis()
+    maps = [np.diag([1.0, 2.0, 3.0, 4.0])]
+    maps += [tr.random_invertible_non_isometry(rng, ctx.metric) for _ in range(n)]
+    ratios = [tr.spinor_factorization(a, basis)[0] for a in maps]
+    smallest = float(np.min(ratios))  # np.min keeps a NaN, min() would drop it
+    return smallest > 1e-3, smallest, n + 1, "smallest operator-Schmidt ratio must stay > 1e-3"
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +589,12 @@ CHECKS = (
     Check("dirac", "right_multiplication_closure", "dirac.rightclosure", 20, 1e-11, _right_closure),
     Check("dirac", "isometry_covariance", "dirac.covariance", 20, 1e-10, _covariance,
           detail="transformed solutions stay solutions"),
-    Check("dirac", "product_structure_under_two_sided_multiplication", "dirac.lmr", 50, 1e-12,
-          _lmr_structure),
-    Check("dirac", "isometries_preserve_rank_one", "dirac.rank", 20, 1e-9, _lorentz_rank,
-          detail="second/first singular value ratio"),
+    Check("dirac", "realigned_factor_is_the_spin_lift", "dirac.realigned", 20, 1e-10,
+          _realigned_factor, detail="conjugations compared with spin_lift's", inputs="A"),
+    Check("dirac", "isometries_preserve_rank_one", "dirac.rank", 20, 1e-9, _isometry_rank,
+          detail="operator-Schmidt ratio of the realigned action", inputs="A"),
     Check("dirac", "generic_map_mixes_product_states", "dirac.entangle", 20, None,
-          body=_entanglement_exhibit),
+          body=_non_isometry_mixing),
 
     Check("grassmann", "generator_anticommutator", "grassmann.anticommutator", 200, 1e-12,
           _generator_anticommutator, inputs="metric"),

@@ -228,6 +228,25 @@ def gl4_on_matrices(a: np.ndarray, basis: GammaBasis) -> GL4Action:
     return GL4Action(a, basis)
 
 
+def spinor_factorization(a: np.ndarray, basis: GammaBasis) -> tuple[float, np.ndarray]:
+    """How far the GL(4) action of ``a`` is from acting on spinors alone.
+
+    The action is an operator O[(i,j),(k,l)] on Mat(4) = S (x) S*.  Realigned
+    to R[(i,k),(j,l)] (Van Loan and Pitsianis, 1993), conjugation by Sigma
+    becomes vec(Sigma) vec(Sigma^-T)^T, of rank one, so the operator-Schmidt
+    ratio sigma_2/sigma_1 of R vanishes up to rounding exactly when the action
+    factors over S.  Returns that ratio and the top left singular vector as a
+    4x4 matrix, which is then the spin lift up to a scalar.  Raises
+    ``ValueError`` for a singular map.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if abs(np.linalg.det(a)) < 1e-12:
+        raise ValueError("spinor factorization requires an invertible map")
+    realigned = GL4Action(a, basis)._operator.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+    u, s, _ = np.linalg.svd(realigned.reshape(16, 16))
+    return float(s[1] / s[0]), u[:, 0].reshape(4, 4)
+
+
 def random_lorentz(
     rng: np.random.Generator, g: Metric, max_rapidity: float = 3.0
 ) -> np.ndarray:

@@ -219,36 +219,24 @@ def test_criterion_08_covariance(mink, basis):
 
 
 def test_criterion_09_product_states(mink, basis):
+    # the GL(4) action on Mat(4) = S (x) S* keeps product states exactly when
+    # its realigned operator has rank one
     rng = np.random.default_rng([SEED, 9])
-    lmr_worst = 0.0
-    for _ in range(50):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        alpha = rng.normal(size=4) + 1j * rng.normal(size=4)
-        left = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        right = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = left @ dr.make_product_state(psi, alpha) @ right
-        rhs = dr.make_product_state(left @ psi, right.T @ alpha)
-        lmr_worst = max(lmr_worst, np.abs(lhs - rhs).max())
+    conformal_err = 0.0
+    for c in (2.0, 0.5):
+        ratio, _ = tr.spinor_factorization(c * tr.random_lorentz(rng, mink), basis)
+        conformal_err = max(conformal_err, abs(ratio - abs(c - 1.0) / (c + 1.0)))
     rank_worst = 0.0
     for _ in range(20):
-        state = dr.ProductState(rng.normal(size=4) + 1j * rng.normal(size=4),
-                                rng.normal(size=4) + 1j * rng.normal(size=4))
-        sv = dr.entanglement_probe(tr.random_lorentz(rng, mink), state, basis)
-        rank_worst = max(rank_worst, sv[1] / sv[0])
-    e0 = np.eye(4)[0].astype(complex)
-    best = dr.entanglement_probe(np.diag([1.0, 2.0, 3.0, 4.0]),
-                                 dr.ProductState(e0, e0), basis)
-    best_ratio = best[1] / best[0]
+        rank_worst = max(rank_worst, tr.spinor_factorization(tr.random_lorentz(rng, mink), basis)[0])
+    mixing = tr.spinor_factorization(np.diag([1.0, 2.0, 3.0, 4.0]), basis)[0]
     for _ in range(20):
         a = tr.random_invertible_non_isometry(rng, mink)
-        state = dr.ProductState(rng.normal(size=4) + 1j * rng.normal(size=4),
-                                rng.normal(size=4) + 1j * rng.normal(size=4))
-        sv = dr.entanglement_probe(a, state, basis)
-        best_ratio = max(best_ratio, sv[1] / sv[0])
-    ok = lmr_worst < 1e-12 and rank_worst < 1e-9 and best_ratio > 1e-3
-    _report(9, "product structure, rank preservation, and mixing exhibit", ok,
-            f"two-sided err {lmr_worst:.3e}, rank ratio {rank_worst:.3e}, "
-            f"mixing ratio {best_ratio:.3e}")
+        mixing = min(mixing, tr.spinor_factorization(a, basis)[0])
+    ok = conformal_err < 1e-12 and rank_worst < 1e-9 and mixing > 1e-3
+    _report(9, "spinor factorization: conformal oracle, isometries rank one, others mix", ok,
+            f"conformal err {conformal_err:.3e}, isometry ratio {rank_worst:.3e}, "
+            f"smallest mixing ratio {mixing:.3e}")
 
 
 def test_criterion_10_determinism(capsys):

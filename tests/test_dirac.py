@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinrep import clifford as cl
 from spinrep import dirac as dr
 from spinrep import grassmann as gr
+from spinrep import isomorphisms as iso
 from spinrep import transforms as tr
 from spinrep._tables import NBLADES
 from spinrep.errors import NotIsometry
@@ -186,72 +189,91 @@ def test_non_solution_has_positive_residual(mink, basis, rng):
 
 
 # ---------------------------------------------------------------------------
-# product states
+# spinor factorization: the GL(4) action on Mat(4) = S (x) S* realigned
 
-def test_make_product_state_single_entry():
-    e1, e2 = np.eye(4)[1], np.eye(4)[2]
-    m = dr.make_product_state(e1, e2)
-    expected = np.zeros((4, 4))
-    expected[1, 2] = 1.0
-    np.testing.assert_array_equal(m, expected)
-
-
-def test_product_state_rank_one(rng):
-    for _ in range(50):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        alpha = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert np.linalg.matrix_rank(dr.make_product_state(psi, alpha)) == 1
+METRICS = {
+    "minkowski": gr.minkowski(),
+    "minkowski-+++": gr.Metric(np.diag([-1.0, 1.0, 1.0, 1.0])),
+    "non-diagonal": gr.Metric(np.array([[1.0, 0.3, 0.0, 0.0], [0.3, -1.0, 0.0, 0.0],
+                                        [0.0, 0.0, -1.0, 0.2], [0.0, 0.0, 0.2, -1.0]])),
+}
 
 
-def test_two_sided_multiplication_keeps_product_structure(rng):
-    worst = 0.0
-    for _ in range(50):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        alpha = rng.normal(size=4) + 1j * rng.normal(size=4)
-        left = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        right = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = left @ dr.make_product_state(psi, alpha) @ right
-        rhs = dr.make_product_state(left @ psi, right.T @ alpha)
-        worst = max(worst, np.abs(lhs - rhs).max())
-    assert worst < 1e-12
+def time_reversal(g):
+    """Reflection along e_0 in g; diag(-1, 1, 1, 1) on a diagonal metric."""
+    e0 = np.eye(4)[0]
+    return np.eye(4) - 2.0 * np.outer(e0, g.g @ e0) / g.g[0, 0]
 
 
-def test_probe_identity_returns_input_singular_values(basis, rng):
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    alpha = rng.normal(size=4) + 1j * rng.normal(size=4)
-    state = dr.ProductState(psi, alpha)
-    got = dr.entanglement_probe(np.eye(4), state, basis)
-    expected = np.linalg.svd(state.materialize(), compute_uv=False)
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+ISOMETRIES = {
+    "random": lambda rng, g: tr.random_lorentz(rng, g),
+    "negated": lambda rng, g: -tr.random_lorentz(rng, g),
+    "parity": lambda rng, g: -time_reversal(g),
+    "time-reversal": lambda rng, g: time_reversal(g),
+    "minus-identity": lambda rng, g: -np.eye(4),
+}
+
+NON_ISOMETRIES = {
+    "diag(1,2,3,4)": lambda rng, g: [np.diag([1.0, 2.0, 3.0, 4.0])],
+    "random": lambda rng, g: [tr.random_invertible_non_isometry(rng, g) for _ in range(20)],
+}
+
+on_isometries = pytest.mark.parametrize(
+    "metric, kind", [(m, k) for m in METRICS for k in ISOMETRIES])
 
 
-def test_lorentz_preserves_rank_one(mink, basis, rng):
-    for _ in range(20):
-        state = dr.ProductState(rng.normal(size=4) + 1j * rng.normal(size=4),
-                                rng.normal(size=4) + 1j * rng.normal(size=4))
-        sv = dr.entanglement_probe(tr.random_lorentz(rng, mink), state, basis)
-        assert sv[1] / sv[0] < 1e-9
+def conjugated_gammas(m, basis):
+    """m gamma_mu m^-1, which does not depend on the scale or phase of m."""
+    return m @ basis.gammas @ np.linalg.inv(m)
 
 
-def test_generic_map_mixes_the_factors(basis):
-    e0 = np.eye(4)[0].astype(complex)
-    sv = dr.entanglement_probe(np.diag([1.0, 2.0, 3.0, 4.0]), dr.ProductState(e0, e0), basis)
-    assert sv[1] / sv[0] > 1e-3
+@on_isometries
+def test_isometry_ratio_vanishes(metric, kind, rng):
+    g = METRICS[metric]
+    a = ISOMETRIES[kind](rng, g)
+    assert tr.isometry_defect(a, g) < 1e-12
+    assert tr.spinor_factorization(a, iso.dirac_matrices(g))[0] < 1e-12
 
 
-def test_probe_search_over_seed_batch(mink, basis):
-    rng = np.random.default_rng(2024)
-    best = 0.0
-    for _ in range(20):
-        a = tr.random_invertible_non_isometry(rng, mink)
-        state = dr.ProductState(rng.normal(size=4) + 1j * rng.normal(size=4),
-                                rng.normal(size=4) + 1j * rng.normal(size=4))
-        sv = dr.entanglement_probe(a, state, basis)
-        best = max(best, sv[1] / sv[0])
-    assert best > 1e-3
+@on_isometries
+def test_realigned_factor_is_the_spin_lift(metric, kind, rng):
+    g = METRICS[metric]
+    basis = iso.dirac_matrices(g)
+    a = ISOMETRIES[kind](rng, g)
+    factor = tr.spinor_factorization(a, basis)[1]
+    lift = tr.spin_lift(a, basis).matrix
+    assert np.abs(conjugated_gammas(factor, basis) - conjugated_gammas(lift, basis)).max() < 1e-10
 
 
-def test_probe_rejects_singular_map(basis):
-    state = dr.ProductState(np.eye(4)[0], np.eye(4)[0])
+@pytest.mark.parametrize("metric", ["minkowski", "non-diagonal"])
+@pytest.mark.parametrize("c", [0.1, 0.5, 1.5, 2.0, 3.0, 7.0, -2.0, -0.5])
+def test_conformal_ratio_oracle(metric, c, rng):
+    # c Lambda scales grade k by c^k on top of a conjugation; the realigned
+    # operator's two largest singular values are then in ratio ||c| - 1| / (|c| + 1)
+    g = METRICS[metric]
+    ratio = tr.spinor_factorization(c * tr.random_lorentz(rng, g), iso.dirac_matrices(g))[0]
+    assert abs(ratio - abs(abs(c) - 1.0) / (abs(c) + 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("metric, kind", [(m, k) for m in METRICS for k in NON_ISOMETRIES])
+def test_non_isometry_ratio_stays_large(metric, kind, rng):
+    g = METRICS[metric]
+    basis = iso.dirac_matrices(g)
+    assert min(tr.spinor_factorization(a, basis)[0] for a in NON_ISOMETRIES[kind](rng, g)) > 1e-3
+
+
+@pytest.mark.parametrize("a", [np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 0.0])],
+                         ids=["zero", "rank-3"])
+def test_singular_map_raises(a, basis):
     with pytest.raises(ValueError):
-        dr.entanglement_probe(np.zeros((4, 4)), state, basis)
+        tr.spinor_factorization(a, basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-20, 20), st.integers(0, 2**32 - 1))
+def test_isometry_ratio_does_not_depend_on_metric_scale(j, seed):
+    # 2^j is exact, so the isometries of 2^j eta are those of eta; det_tol=0
+    # admits the scales whose |det| falls below the default degeneracy bound
+    g = gr.Metric(2.0**j * np.diag([1.0, -1.0, -1.0, -1.0]), det_tol=0.0)
+    a = tr.random_lorentz(np.random.default_rng(seed), g)
+    assert tr.spinor_factorization(a, iso.dirac_matrices(g))[0] < 1e-12
