@@ -24,8 +24,15 @@ def wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mul16(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """Bilinear product with per-metric structure tensor ``tensor[i, k, j]``."""
-    return np.einsum("i,ikj,j->k", a, tensor, b)
+    """Bilinear product with per-metric structure tensor ``tensor[i, k, j]``.
+
+    Leading axes of ``a``, ``b`` and ``tensor`` broadcast, so a stack of
+    products is one call.  Two BLAS products, contracting ``b`` first: the
+    (256, 16) tensor times ``b``, then ``a`` times the resulting 16x16 matrix.
+    """
+    tb = tensor.reshape(tensor.shape[:-3] + (NBLADES * NBLADES, NBLADES)) @ np.asarray(b)[..., None]
+    tb = tb.reshape(tb.shape[:-2] + (NBLADES, NBLADES))
+    return (np.asarray(a)[..., None, :] @ tb)[..., 0, :]
 
 
 def compound16(a: np.ndarray) -> np.ndarray:

@@ -21,12 +21,13 @@ import numpy as np
 from . import _kernels
 from ._tables import (
     BLADE_BITS,
+    BLADES_BY_GRADE,
     DIM,
     GRADE,
     NBLADES,
     REVERSION_SIGN,
 )
-from .grassmann import Metric, _BladeVector, _gamma_ops_cached
+from .grassmann import Metric, _BladeVector, _gamma_ops
 
 
 class CliffordElement(_BladeVector):
@@ -49,27 +50,43 @@ class CliffordElement(_BladeVector):
         return cls._single(mask, value)
 
 
+# per grade 1..4: its blades, the lowest factor of each, each blade without
+# that factor, and the sign (-1)^j for that rest of grade j
+_GRADE_STEPS = tuple(
+    (np.array(blades), np.array([BLADE_BITS[b][0] for b in blades]),
+     np.array([b ^ (1 << BLADE_BITS[b][0]) for b in blades]), 1.0 if k % 2 else -1.0)
+    for k, blades in enumerate(BLADES_BY_GRADE) if k
+)
+
+
 def _blade_products(gens: np.ndarray) -> np.ndarray:
     """The 16 antisymmetrised products of four generator matrices, unit first.
 
-    Blade m is built from its lowest factor e_i and the rest w, of grade k:
-    q(e_i ^ w) = (gens[i] q(w) + (-1)^k q(w) gens[i]) / 2.  Nothing here
-    depends on the metric; the generators carry it.
+    ``gens`` is (..., 4, d, d) and the result (..., 16, d, d); leading axes
+    are a batch.  Blade m is built from its lowest factor e_i and the rest w,
+    of grade k: q(e_i ^ w) = (gens[i] q(w) + (-1)^k q(w) gens[i]) / 2, all
+    blades of one grade in one stacked product from the grade below.  Each
+    matrix product is the one a loop over the blades would take, so the
+    result is the same to the bit.  Nothing here depends on the metric; the
+    generators carry it.
     """
-    out = np.empty((NBLADES,) + gens.shape[1:], dtype=gens.dtype)
-    out[0] = np.eye(gens.shape[1])
-    for mask in range(1, NBLADES):
-        i = BLADE_BITS[mask][0]
-        w = out[mask ^ (1 << i)]
-        sign = 1.0 if GRADE[mask] % 2 else -1.0
-        out[mask] = 0.5 * (gens[i] @ w + sign * (w @ gens[i]))
+    out = np.empty(gens.shape[:-3] + (NBLADES,) + gens.shape[-2:], dtype=gens.dtype)
+    out[..., 0, :, :] = np.eye(gens.shape[-1])
+    for blades, first, rest, sign in _GRADE_STEPS:
+        gen, w = gens[..., first, :, :], out[..., rest, :, :]
+        out[..., blades, :, :] = 0.5 * (gen @ w + sign * (w @ gen))
     return out
+
+
+def _structure(g: np.ndarray) -> np.ndarray:
+    """Real structure tensors of a metric matrix or a (..., 4, 4) stack of them."""
+    return _blade_products(_gamma_ops(g))
 
 
 @lru_cache(maxsize=64)
 def _structure_cached(g: Metric) -> np.ndarray:
     """Real structure tensor: the stack of the 16 blade operators."""
-    tensor = _blade_products(_gamma_ops_cached(g).real)
+    tensor = _structure(g.g)
     tensor.flags.writeable = False
     return tensor
 

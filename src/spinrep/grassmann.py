@@ -43,7 +43,8 @@ class Metric:
     The matrix is required to be finite and symmetric exactly as stored; it
     is copied and frozen on construction.  ``det_tol`` is the degeneracy
     threshold: construction raises :class:`DegenerateMetric` when |det g| is
-    below it, so every ``Metric`` that exists has a star and a contraction.
+    below it, or when det g overflows, so every ``Metric`` that exists has a
+    star and a contraction.
     Metrics compare and hash by ``g`` alone, so one value is one cache entry.
     """
 
@@ -58,7 +59,10 @@ class Metric:
             raise ValueError("metric entries must be finite")
         if not np.array_equal(g, g.T):
             raise ValueError("metric must be symmetric exactly as stored")
-        det = float(np.linalg.det(g))
+        with np.errstate(over="ignore"):
+            det = float(np.linalg.det(g))
+        if not np.isfinite(det):
+            raise DegenerateMetric(f"det g overflows to {det}")
         if abs(det) < self.det_tol:
             raise DegenerateMetric(f"|det g| = {abs(det):.3e} below tolerance {self.det_tol:.3e}")
         g.flags.writeable = False
@@ -209,7 +213,7 @@ def _move_stack(table: np.ndarray) -> np.ndarray:
     ``table[i, b]`` is the sign of that move on blade b, which lands on blade
     b ^ bit(i); the table is zero where the move does not apply.
     """
-    stack = np.zeros((DIM, NBLADES, NBLADES), dtype=np.complex128)
+    stack = np.zeros((DIM, NBLADES, NBLADES))
     cols = np.arange(NBLADES)
     stack[np.arange(DIM)[:, None], cols ^ (1 << np.arange(DIM))[:, None], cols] = table
     stack.flags.writeable = False
@@ -271,23 +275,34 @@ def right_delta_star(v: np.ndarray, a: GrassmannElement, g: Metric) -> Grassmann
     return GrassmannElement(right_delta_star_matrix(v, g) @ a.coeffs)
 
 
-# generator i is delta_i + delta*_i, and delta*_i contracts with row i of g
+def _gamma_ops(g: np.ndarray, insert: np.ndarray = _INSERT_LEFT,
+               remove: np.ndarray = _REMOVE_LEFT) -> np.ndarray:
+    """Real generator operators of a metric matrix or a stack of them.
+
+    (..., 4, 4) metrics give (..., 4, 16, 16) operators: generator i is
+    delta_i + delta*_i, and delta*_i contracts with row i of g.  Each entry
+    is one sign or one metric entry, so every route to it is exact.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    return insert + (g @ remove.reshape(DIM, -1)).reshape(g.shape[:-1] + (NBLADES, NBLADES))
+
+
 @lru_cache(maxsize=128)
 def _gamma_ops_cached(g: Metric) -> np.ndarray:
-    ops = _INSERT_LEFT + np.einsum("ij,jkl->ikl", g.g, _REMOVE_LEFT)
+    ops = _gamma_ops(g.g)
     ops.flags.writeable = False
     return ops
 
 
 @lru_cache(maxsize=128)
 def _right_gamma_ops_cached(g: Metric) -> np.ndarray:
-    ops = _INSERT_RIGHT + np.einsum("ij,jkl->ikl", g.g, _REMOVE_RIGHT)
+    ops = _gamma_ops(g.g, _INSERT_RIGHT, _REMOVE_RIGHT)
     ops.flags.writeable = False
     return ops
 
 
 def gamma_op(i: int, g: Metric) -> np.ndarray:
-    """Generator operator delta_i + delta*_i as a 16x16 matrix.
+    """Generator operator delta_i + delta*_i as a real 16x16 matrix.
 
     The four operators satisfy the anticommutation relations of the metric:
     gamma_op(mu) gamma_op(nu) + gamma_op(nu) gamma_op(mu) = 2 g[mu, nu] Id.

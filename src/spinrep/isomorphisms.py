@@ -141,7 +141,7 @@ def left_rep(L: CliffordElement, g: Metric) -> np.ndarray:
 def _right_blade_ops_cached(g: Metric) -> np.ndarray:
     # right multiplication reverses products, so the transposed operators
     # compose like the left ones
-    gens = _right_gamma_ops_cached(g).real.transpose(0, 2, 1)
+    gens = _right_gamma_ops_cached(g).transpose(0, 2, 1)
     ops = np.ascontiguousarray(_blade_products(gens).transpose(0, 2, 1))
     ops.flags.writeable = False
     return ops

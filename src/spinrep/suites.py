@@ -35,6 +35,7 @@ path under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import zlib
@@ -43,6 +44,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import _kernels
 from . import clifford as cl
 from . import dirac as dr
 from . import grassmann as gr
@@ -88,8 +90,37 @@ class Check:
     body: Callable[..., tuple[bool, float, int, str]] | None = None
 
 
+# the per-metric checks stack at most this many metrics into one batch, so
+# their memory stays bounded whatever --samples asks for
+_BATCH = 16
+
+
 def _maxabs(x) -> float:
     return float(np.abs(x).max())
+
+
+def _batches(items: Iterable[Any]) -> Iterator[list[Any]]:
+    """Consecutive lists of at most ``_BATCH`` items, drawn from ``items`` in order."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, _BATCH)):
+        yield batch
+
+
+def _anticommutator_worst(product: Callable[[int, int], np.ndarray], g: np.ndarray,
+                          one: np.ndarray) -> np.ndarray:
+    """Per metric of the stack ``g``, the largest entry of
+    product(mu, nu) + product(nu, mu) - 2 g[mu, nu] one over all mu, nu.
+
+    ``product(mu, nu)`` is a stack with one entry per metric.  One pair at a
+    time keeps the memory to one stack; each unordered pair is taken once,
+    since the sum is symmetric in mu and nu.
+    """
+    worst = np.zeros(len(g))
+    for mu, nu in itertools.combinations_with_replacement(range(4), 2):
+        scale = 2.0 * g[:, mu, nu].reshape((-1,) + (1,) * one.ndim)
+        ac = product(mu, nu) + product(nu, mu) - scale * one
+        worst = np.maximum(worst, np.abs(ac).reshape(len(g), -1).max(axis=1))
+    return worst
 
 
 def _random_metric(rng: np.random.Generator) -> gr.Metric:
@@ -132,10 +163,11 @@ def _well_conditioned_map(rng: np.random.Generator) -> np.ndarray:
 
 def _generator_anticommutator(ctx, rng, n):
     eye = np.eye(NBLADES)
-    for g in [ctx.metric, gr.minkowski()] + [_random_metric(rng) for _ in range(n)]:
-        ops = [gr.gamma_op(i, g) for i in range(4)]
-        yield _maxabs([ops[mu] @ ops[nu] + ops[nu] @ ops[mu] - 2.0 * g.g[mu, nu] * eye
-                       for mu in range(4) for nu in range(4)]), g.g
+    metrics = itertools.chain([ctx.metric, gr.minkowski()], (_random_metric(rng) for _ in range(n)))
+    for batch in _batches(metrics):
+        g = np.stack([m.g for m in batch])
+        ops = gr._gamma_ops(g)
+        yield from zip(_anticommutator_worst(lambda mu, nu: ops[:, mu] @ ops[:, nu], g, eye), g)
 
 
 def _wedge_associativity(ctx, rng, n):
@@ -200,23 +232,26 @@ def _left_right_commutation(ctx, rng, n):
 
 
 def _product_associativity(ctx, rng, n):
-    for i in range(n):
-        g = ctx.metric if i == 0 else _random_metric(rng)
-        a, b, c = (cl.CliffordElement(_random_element(rng)) for _ in range(3))
-        lhs = cl.geometric_product(cl.geometric_product(a, b, g), c, g)
-        rhs = cl.geometric_product(a, cl.geometric_product(b, c, g), g)
-        yield _maxabs(lhs.coeffs - rhs.coeffs), g.g
+    trials = ((ctx.metric if i == 0 else _random_metric(rng),
+               [_random_element(rng) for _ in range(3)]) for i in range(n))
+    for batch in _batches(trials):
+        g = np.stack([m.g for m, _ in batch])
+        t = cl._structure(g)
+        a, b, c = np.array([elements for _, elements in batch]).transpose(1, 0, 2)
+        lhs = _kernels.mul16(_kernels.mul16(a, b, t), c, t)
+        rhs = _kernels.mul16(a, _kernels.mul16(b, c, t), t)
+        yield from zip(np.abs(lhs - rhs).max(axis=1), g)
 
 
 def _product_anticommutator(ctx, rng, n):
     unit = np.zeros(NBLADES)
     unit[0] = 1.0
-    gens = [cl.CliffordElement.generator(mu) for mu in range(4)]
-    for i in range(n):
-        g = ctx.metric if i == 0 else _random_metric(rng)
-        yield _maxabs([(cl.geometric_product(a, b, g) + cl.geometric_product(b, a, g)).coeffs
-                       - 2 * g.g[mu, nu] * unit
-                       for mu, a in enumerate(gens) for nu, b in enumerate(gens)])
+    gens = [cl.CliffordElement.generator(mu).coeffs for mu in range(4)]
+    for batch in _batches(ctx.metric if i == 0 else _random_metric(rng) for i in range(n)):
+        g = np.stack([m.g for m in batch])
+        t = cl._structure(g)
+        yield from _anticommutator_worst(lambda mu, nu: _kernels.mul16(gens[mu], gens[nu], t),
+                                         g, unit)
 
 
 def _product_table_vs_matrices(ctx, rng, n):

@@ -311,9 +311,9 @@ def transport_residual(a: np.ndarray, basis: GammaBasis, matrices: np.ndarray) -
     :class:`NotIsometry` for any other map, which has no lift.
     """
     sigma = spin_lift(a, basis)
-    action = gl4_on_matrices(a, basis)
-    sinv = sigma.inverse_matrix
-    return max(float(np.abs(action(m) - sigma.matrix @ m @ sinv).max()) for m in matrices)
+    stack = np.asarray(matrices)
+    acted = (gl4_on_matrices(a, basis)._operator @ stack.reshape(-1, 16).T).T.reshape(stack.shape)
+    return float(np.abs(acted - sigma.matrix @ stack @ sigma.inverse_matrix).max())
 
 
 def grade_leakage(m: np.ndarray, basis: GammaBasis) -> float:

@@ -31,3 +31,23 @@ def random_symmetric_metric(rng, min_det=1e-6):
 
 def random_element_coeffs(rng):
     return rng.normal(size=16) + 1j * rng.normal(size=16)
+
+
+# the non-diagonal Lorentz metric of the golden reports
+NON_DIAGONAL = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, -1.0, 0.0, 0.0],
+                         [0.0, 0.0, -1.0, 0.2], [0.0, 0.0, 0.2, -1.0]])
+
+
+def preset_metrics():
+    """Both Minkowski presets and the non-diagonal metric."""
+    return [gr.minkowski(), gr.minkowski("-+++"), gr.Metric(NON_DIAGONAL)]
+
+
+def random_lorentz_metric(rng, min_det=1e-6):
+    """Random nondegenerate metric F^T diag(1, -1, -1, -1) F of Lorentz signature."""
+    while True:
+        f = rng.normal(size=(4, 4))
+        m = f.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ f
+        m = (m + m.T) / 2.0
+        if abs(np.linalg.det(m)) >= min_det:
+            return gr.Metric(m)

@@ -15,6 +15,7 @@ from spinrep.suites import SUITE_NAMES
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 IDENTITY = ",".join(["1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1"])
+OVERFLOWING_METRIC = ",".join(str(v) for v in (1e100 * np.diag([1.0, -1.0, -1.0, -1.0])).flatten())
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,9 @@ def test_verify_degenerate_metric_exits_2(capsys):
     ["verify", "--suite", "grassmann", "--tol", "inf"],
     ["verify", "--suite", "grassmann", "--tol", "nan"],
     ["lift", "--tol", "inf", "--", "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
+    # finite entries whose determinant overflows to -inf
+    ["verify", "--suite", "grassmann", "--metric=" + OVERFLOWING_METRIC],
+    ["lift", "--metric=" + OVERFLOWING_METRIC, "--", "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
 ])
 def test_non_finite_input_exits_2_with_one_error_line(argv):
     proc = run_python("-m", "spinrep.cli", *argv)
@@ -185,9 +189,9 @@ def test_verify_small_metric_skips_degenerate_pullbacks(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_non_finite_residual_fails(capsys):
-    # det g overflows and the products go NaN: max() dropped a NaN residual,
-    # so this run used to pass every check
-    spec = ",".join(str(v) for v in (1e100 * np.diag([1.0, -1.0, -1.0, -1.0])).flatten())
+    # det g is finite (-1e308) but the products overflow and go NaN: max()
+    # dropped a NaN residual, so such a run used to pass every check
+    spec = ",".join(str(v) for v in (1e77 * np.diag([1.0, -1.0, -1.0, -1.0])).flatten())
     code, out, _ = run_cli(capsys, "verify", "--suite", "clifford", f"--metric={spec}", "--json")
     assert code == 1
 

@@ -10,7 +10,12 @@ from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
 from spinrep._tables import BLADE_BITS, GRADE, NBLADES
 
-from conftest import random_element_coeffs, random_symmetric_metric
+from conftest import (
+    preset_metrics,
+    random_element_coeffs,
+    random_lorentz_metric,
+    random_symmetric_metric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,48 @@ def test_anticommutator_random_metrics(rng):
                 b = cl.CliffordElement.generator(nu)
                 ac = cl.geometric_product(a, b, g) + cl.geometric_product(b, a, g)
                 assert np.abs(ac.coeffs - 2 * g.g[mu, nu] * unit).max() < 1e-12
+
+
+def blade_products_loop(gens):
+    """The 16 antisymmetrised products one blade at a time, each from its
+    lowest factor and the blade below: the loop the per-grade build replaced."""
+    out = np.empty((NBLADES,) + gens.shape[1:], dtype=gens.dtype)
+    out[0] = np.eye(gens.shape[1])
+    for mask in range(1, NBLADES):
+        i = BLADE_BITS[mask][0]
+        w = out[mask ^ (1 << i)]
+        sign = 1.0 if GRADE[mask] % 2 else -1.0
+        out[mask] = 0.5 * (gens[i] @ w + sign * (w @ gens[i]))
+    return out
+
+
+def test_blade_products_per_grade_equal_per_blade_loop(rng):
+    # one stacked product per grade takes the same products as the loop, so
+    # structure tensors, right blade operators and Dirac blade matrices agree
+    # to the bit
+    metrics = preset_metrics() + [random_symmetric_metric(rng) for _ in range(200)]
+    for g in metrics:
+        left = blade_products_loop(gr._gamma_ops_cached(g))
+        assert cl.product_tensor(g).tobytes() == left.tobytes()
+        right = blade_products_loop(gr._right_gamma_ops_cached(g).transpose(0, 2, 1))
+        assert iso._right_blade_ops_cached(g).tobytes() == \
+            np.ascontiguousarray(right.transpose(0, 2, 1)).tobytes()
+    for g in preset_metrics() + [random_lorentz_metric(rng) for _ in range(200)]:
+        basis = iso.dirac_matrices(g)
+        matrices = blade_products_loop(basis.gammas)
+        assert iso.gamma_blade_matrices(basis).tobytes() == matrices.tobytes()
+
+
+def test_stacked_structure_equals_cached(rng):
+    # the batched build behind the per-metric checks is the cached one per metric
+    metrics = preset_metrics() + [random_symmetric_metric(rng) for _ in range(37)]
+    stack = cl._structure(np.stack([g.g for g in metrics]))
+    assert stack.shape == (len(metrics), NBLADES, NBLADES, NBLADES)
+    for tensor, g in zip(stack, metrics):
+        assert tensor.tobytes() == cl.product_tensor(g).tobytes()
+    # a batch of batches is the same stack
+    nested = cl._structure(np.stack([g.g for g in metrics[:40]]).reshape(5, 8, 4, 4))
+    assert nested.reshape(stack.shape).tobytes() == stack.tobytes()
 
 
 def test_product_table_matches_matrix_representation(mink, basis):

@@ -21,7 +21,7 @@ from spinrep._tables import (
 )
 from spinrep.errors import DegenerateMetric
 
-from conftest import random_element_coeffs, random_symmetric_metric
+from conftest import preset_metrics, random_element_coeffs, random_symmetric_metric
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,13 @@ def test_degenerate_metric_raises():
         gr.Metric(np.diag([1.0, -1.0, -1.0, -1.0]), det_tol=2.0)
 
 
+def test_metric_rejects_overflowing_determinant():
+    # finite entries, but det g is -inf: the Hodge scale would be 0
+    with pytest.raises(DegenerateMetric, match="overflows"):
+        gr.Metric(1e100 * np.diag([1.0, -1.0, -1.0, -1.0]))
+    assert np.isfinite(gr.Metric(1e77 * np.diag([1.0, -1.0, -1.0, -1.0])).det)
+
+
 def test_metric_requires_exact_symmetry():
     m = np.eye(4)
     m[0, 1] = 1e-14
@@ -297,6 +304,18 @@ def test_closed_form_operators_equal_loop_oracle(rng):
                 np.testing.assert_array_equal(ops[i], expected)
             np.testing.assert_array_equal(raise_op(v), sign_matrix_oracle(v, insert))
             np.testing.assert_array_equal(lower_op(v, g), sign_matrix_oracle(g.g @ v, remove))
+
+
+def test_stacked_generator_operators_equal_cached(rng):
+    # the batched build behind the per-metric checks is the cached one per metric
+    metrics = preset_metrics() + [random_symmetric_metric(rng) for _ in range(200)]
+    stack = np.stack([g.g for g in metrics])
+    left = gr._gamma_ops(stack)
+    right = gr._gamma_ops(stack, gr._INSERT_RIGHT, gr._REMOVE_RIGHT)
+    assert left.shape == (len(metrics), 4, NBLADES, NBLADES)
+    for ops, right_ops, g in zip(left, right, metrics):
+        assert ops.tobytes() == gr._gamma_ops_cached(g).tobytes()
+        assert right_ops.tobytes() == gr._right_gamma_ops_cached(g).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import numpy as np
 
 from spinrep import _kernels
+from spinrep import clifford as cl
 from spinrep import grassmann as gr
 from spinrep import _tables
 from spinrep._tables import BLADE_BITS, NBLADES, WEDGE_SIGN
 
-from conftest import random_element_coeffs
+from conftest import preset_metrics, random_element_coeffs, random_symmetric_metric
 
 
 def test_backend_selected():
@@ -21,6 +22,30 @@ def test_numpy_backend_full_suite_equivalence(rng):
         for j in range(NBLADES):
             manual[i | j] += WEDGE_SIGN[i, j] * a.coeffs[i] * b.coeffs[j]
     np.testing.assert_allclose(gr.wedge(a, b).coeffs, manual, atol=1e-13)
+
+
+def test_mul16_matches_einsum(rng):
+    for g in preset_metrics() + [random_symmetric_metric(rng) for _ in range(50)]:
+        tensor = cl.product_tensor(g)
+        a, b = random_element_coeffs(rng), random_element_coeffs(rng)
+        expected = np.einsum("i,ikj,j->k", a, tensor, b)
+        got = _kernels.mul16(a, b, tensor)
+        assert got.shape == (NBLADES,)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_batched_product_equals_per_sample(rng):
+    metrics = preset_metrics() + [random_symmetric_metric(rng) for _ in range(17)]
+    tensors = np.stack([cl.product_tensor(g) for g in metrics])
+    a = np.stack([random_element_coeffs(rng) for _ in metrics])
+    b = np.stack([random_element_coeffs(rng) for _ in metrics])
+    per_sample = np.stack([_kernels.mul16(x, y, t) for x, y, t in zip(a, b, tensors)])
+    assert _kernels.mul16(a, b, tensors).tobytes() == per_sample.tobytes()
+    # one tensor against a batch of elements, and one pair against a batch of tensors
+    assert _kernels.mul16(a, b, tensors[0]).tobytes() == \
+        np.stack([_kernels.mul16(x, y, tensors[0]) for x, y in zip(a, b)]).tobytes()
+    assert _kernels.mul16(a[0], b[0], tensors).tobytes() == \
+        np.stack([_kernels.mul16(a[0], b[0], t) for t in tensors]).tobytes()
 
 
 def wedge_chain_pushforward(a):
