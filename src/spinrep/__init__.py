@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     DegenerateMetric,
     LiftNotFound,
-    NoRealFactorization,
     NotIsometry,
     SpinrepError,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "ConfigError",
     "DegenerateMetric",
     "LiftNotFound",
-    "NoRealFactorization",
     "NotIsometry",
     "clifford_to_matrix",
     "covariance_residual",

@@ -29,8 +29,8 @@ from .report import Report
 from .suites import SUITE_NAMES, SuiteContext, run_suite
 
 PRESETS = {
-    "minkowski+---": [1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, -1.0],
-    "minkowski-+++": [-1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0],
+    "minkowski+---": gr.minkowski("+---"),
+    "minkowski-+++": gr.minkowski("-+++"),
 }
 
 
@@ -66,13 +66,12 @@ def parse_matrix4(text: str) -> np.ndarray:
 
 def load_metric(spec: str) -> gr.Metric:
     if spec in PRESETS:
-        m = np.array(PRESETS[spec], dtype=np.float64).reshape(4, 4)
-    else:
-        m = parse_matrix4(spec)
-    if not np.array_equal(m, m.T):
-        raise ConfigError("metric must be symmetric")
+        return PRESETS[spec]
+    m = parse_matrix4(spec)
     try:
         return gr.Metric(m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     except DegenerateMetric as exc:
         raise ConfigError(f"degenerate metric: {exc}") from None
 

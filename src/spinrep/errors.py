@@ -9,10 +9,6 @@ class DegenerateMetric(SpinrepError):
     """Metric determinant below the degeneracy tolerance."""
 
 
-class NoRealFactorization(SpinrepError):
-    """Metric signature admits no real factorization through a Minkowski form."""
-
-
 class NotIsometry(SpinrepError):
     """Linear map does not preserve the metric within tolerance."""
 

@@ -2,11 +2,15 @@
 
 Contains the canonical coefficientwise identification of the two blade-indexed
 bases, the left and right regular representations acting on the 16-dimensional
-coefficient space, a concrete Dirac-matrix basis for any metric of Lorentz
-signature, and the wedge product transported onto 4x4 matrices.  Every
-blade-indexed stack here (left and right operators, 4x4 blade matrices) is
-built by :func:`spinrep.clifford._blade_products` in the antisymmetrised
-basis, so all of them hold for every metric.
+coefficient space, a concrete Dirac-matrix basis for every symmetric
+nondegenerate metric, and the wedge product transported onto 4x4 matrices.
+Over the complex numbers the Clifford algebra of every signature is Mat(4, C),
+so one route serves all of them: the standard Dirac matrices are scaled along
+an eigen-frame of the metric, and a generator whose square has the wrong sign
+is multiplied by the imaginary unit.  Every blade-indexed stack here (left and
+right operators, 4x4 blade matrices) is built by
+:func:`spinrep.clifford._blade_products` in the antisymmetrised basis, so all
+of them hold for every metric.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 from . import _kernels
 from ._tables import DIM, NBLADES
 from .clifford import CliffordElement, _blade_products, product_tensor
-from .errors import NoRealFactorization
 from .grassmann import GrassmannElement, Metric, _right_gamma_ops_cached
 
 # standard Dirac representation: diagonal-blocks gamma0, off-diagonal Pauli blocks
@@ -37,6 +40,12 @@ def _standard_gammas() -> np.ndarray:
         gammas[i + 1, :2, 2:] = sigma
         gammas[i + 1, 2:, :2] = -sigma
     return gammas
+
+
+# the standard generators, their squares (+,-,-,-), and the generators times i
+_STANDARD = _standard_gammas()
+_STANDARD_SQUARES = np.array([1.0, -1.0, -1.0, -1.0])
+_STANDARD_TIMES_I = 1j * _STANDARD
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,39 +88,34 @@ def anticommutator_defect(basis: GammaBasis) -> float:
 
 
 def dirac_matrices(g: Metric) -> GammaBasis:
-    """Concrete generator matrices for any nondegenerate metric of Lorentz signature.
+    """Concrete generator matrices for any symmetric nondegenerate metric.
 
-    A diagonal metric with sign pattern (+,-,-,-) keeps the standard
-    representation (scaled per axis); the pattern (-,+,+,+) multiplies it by
-    the imaginary unit.  A general symmetric metric is factored through a
-    diagonal form by eigendecomposition and the factor is absorbed into the
-    generators.  Raises :class:`NoRealFactorization` unless exactly one or
-    exactly three eigenvalues are positive.
+    The metric is read in an eigen-frame: a diagonal metric is its own frame,
+    with its diagonal as the eigenvalues, and any other metric is
+    diagonalised by ``eigh``, its directions ordered minority sign first (the
+    lone positive direction of (+,-,-,-), the lone negative one of
+    (-,+,+,+)).  Standard generator n is scaled by sqrt|lambda_n| and
+    multiplied by the imaginary unit where the sign of lambda_n differs from
+    its standard square (+,-,-,-); the frame then carries the generators back
+    to the coordinate axes.
     """
-    base = _standard_gammas()
     diag = np.diagonal(g.g)
     if np.count_nonzero(g.g - np.diag(diag)) == 0:
-        pattern = tuple(np.sign(diag).astype(int))
-        if pattern == (1, -1, -1, -1):
-            scaled = np.sqrt(np.abs(diag))[:, None, None] * base
-            return GammaBasis(scaled, g)
-        if pattern == (-1, 1, 1, 1):
-            scaled = np.sqrt(np.abs(diag))[:, None, None] * (1j * base)
-            return GammaBasis(scaled, g)
-    evals, evecs = np.linalg.eigh(g.g)
-    n_pos = int(np.count_nonzero(evals > 0))
-    if n_pos == 1:
-        perm = [3, 0, 1, 2]  # positive eigenvalue first, matching (+,-,-,-)
-    elif n_pos == 3:
-        perm = [0, 1, 2, 3]  # negative eigenvalue first, matching (-,+,+,+)
-        base = 1j * base
+        evals, frame = diag, None
     else:
-        raise NoRealFactorization(
-            f"metric has {n_pos} positive eigenvalues; need exactly 1 or 3"
-        )
-    factor = np.sqrt(np.abs(evals[perm]))[:, None] * evecs[:, perm].T
-    gammas = np.einsum("nm,nij->mij", factor, base)
-    return GammaBasis(gammas, g)
+        evals, evecs = np.linalg.eigh(g.g)
+        # eigh sorts ascending, so the positive directions are the last n_pos;
+        # they move to the front when they are the minority
+        n_pos = int(np.count_nonzero(evals > 0))
+        shift = n_pos if 2 * n_pos < DIM else 0
+        order = [*range(DIM - shift, DIM), *range(DIM - shift)]
+        evals, frame = evals[order], evecs[:, order].T
+    flip = evals * _STANDARD_SQUARES < 0
+    base = np.where(flip[:, None, None], _STANDARD_TIMES_I, _STANDARD)
+    scale = np.sqrt(np.abs(evals))
+    if frame is None:
+        return GammaBasis(scale[:, None, None] * base, g)
+    return GammaBasis(np.einsum("nm,nij->mij", scale[:, None] * frame, base), g)
 
 
 def to_clifford(a: GrassmannElement) -> CliffordElement:

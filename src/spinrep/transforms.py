@@ -250,7 +250,7 @@ def spinor_factorization(a: np.ndarray, basis: GammaBasis) -> tuple[float, np.nd
 def random_lorentz(
     rng: np.random.Generator, g: Metric, max_rapidity: float = 3.0
 ) -> np.ndarray:
-    """Random proper orthochronous isometry of ``g``.
+    """Random isometry of ``g`` in the identity component of its isometry group.
 
     Exponential of a random generator X with g X antisymmetric, rescaled so
     the generator norm stays at or below ``max_rapidity``.

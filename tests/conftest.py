@@ -43,6 +43,19 @@ def preset_metrics():
     return [gr.minkowski(), gr.minkowski("-+++"), gr.Metric(NON_DIAGONAL)]
 
 
+def frame_metric(rng, d):
+    """F^T diag(d) F for a well-conditioned random frame F = Q1 diag(s) Q2, s in [0.5, 2]."""
+    q1, q2 = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    f = q1 @ np.diag(rng.uniform(0.5, 2.0, size=4)) @ q2
+    m = f.T @ np.diag(d) @ f
+    return gr.Metric((m + m.T) / 2.0)
+
+
+# one diagonal for each count of positive entries, 4 down to 0
+SIGNATURES = [(1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0), (1.0, 1.0, -1.0, -1.0),
+              (1.0, -1.0, -1.0, -1.0), (-1.0, -1.0, -1.0, -1.0)]
+
+
 def random_lorentz_metric(rng, min_det=1e-6):
     """Random nondegenerate metric F^T diag(1, -1, -1, -1) F of Lorentz signature."""
     while True:

@@ -12,6 +12,8 @@ from spinrep import cli
 from spinrep.errors import ConfigError
 from spinrep.suites import SUITE_NAMES
 
+from conftest import SIGNATURES, frame_metric
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 IDENTITY = ",".join(["1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1"])
@@ -212,15 +214,30 @@ def test_verify_metric_with_leading_minus(capsys):
     assert "==> all checks passed" in out
 
 
-def test_verify_non_diagonal_metric_passes_every_check(capsys):
-    # the antisymmetrised blade basis is valid for every metric, so every
-    # check of every suite is strict here
+def _shear_metric():
     a = np.eye(4)
     a[0, 1] = 0.3  # shear, so the pulled-back form is genuinely non-diagonal
     g = a.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ a
-    g = (g + g.T) / 2
+    return (g + g.T) / 2
+
+
+# every signature, diagonal and through a well-conditioned random frame
+EVERY_SIGNATURE = {
+    "shear": _shear_metric(),
+    "3I": 3.0 * np.eye(4),
+    "minus-I": -np.eye(4),
+    "split-diagonal": np.diag([1.0, 1.0, -1.0, -1.0]),
+    **{f"frame-{sum(v > 0 for v in d)}-positive": frame_metric(np.random.default_rng(100 + k), d).g
+       for k, d in enumerate(SIGNATURES)},
+}
+
+
+@pytest.mark.parametrize("g", EVERY_SIGNATURE.values(), ids=EVERY_SIGNATURE.keys())
+def test_verify_non_diagonal_metric_passes_every_check(capsys, g):
+    # the antisymmetrised blade basis and the Dirac matrices are valid for
+    # every metric, so every check of every suite is strict here
     spec = ",".join(repr(float(v)) for v in g.flatten())
-    code, out, _ = run_cli(capsys, "verify", "--metric", spec, "--seed", "4", "--json")
+    code, out, _ = run_cli(capsys, "verify", "--metric=" + spec, "--seed", "4", "--json")
     assert code == 0
     payload = json.loads(out)
     assert {c["suite"] for c in payload["checks"]} == set(SUITE_NAMES)
@@ -242,17 +259,21 @@ def test_lift_quarter_rotation(capsys):
     c = np.cos(np.pi / 2)
     s = np.sin(np.pi / 2)
     a = f"1,0,0,0,0,{c},{s},0,0,{-s},{c},0,0,0,0,1"
-    code, out, _ = run_cli(capsys, "lift", a, "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["isometry"] is True
-    coeffs = np.array([complex(re, im) for re, im in payload["coefficients"]])
-    expected = np.zeros(16, dtype=complex)
-    expected[0] = np.sqrt(0.5)
-    expected[0b0110] = -np.sqrt(0.5)
-    match = min(np.abs(coeffs - expected).max(), np.abs(coeffs + expected).max())
-    assert match < 1e-9
-    assert payload["residual"] < 1e-10
+    # g1 g2 squares to -g11 g22, so the unit bivector is g1 g2 / |g11|, and
+    # the sign of g11 sets the sense of the rotation
+    euclidean = ",".join(str(v) for v in (3.0 * np.eye(4)).flatten())
+    for metric, bivector in (("minkowski+---", -np.sqrt(0.5)), (euclidean, np.sqrt(0.5) / 3)):
+        code, out, _ = run_cli(capsys, "lift", "--metric", metric, a, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["isometry"] is True
+        coeffs = np.array([complex(re, im) for re, im in payload["coefficients"]])
+        expected = np.zeros(16, dtype=complex)
+        expected[0] = np.sqrt(0.5)
+        expected[0b0110] = bivector
+        match = min(np.abs(coeffs - expected).max(), np.abs(coeffs + expected).max())
+        assert match < 1e-9
+        assert payload["residual"] < 1e-10
 
 
 def test_lift_non_isometry_verdict(capsys):

@@ -6,9 +6,10 @@ from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
 from spinrep import transforms as tr
 from spinrep._tables import NBLADES
-from spinrep.errors import DegenerateMetric, NoRealFactorization
+from spinrep.errors import DegenerateMetric
 
-from conftest import random_element_coeffs, random_symmetric_metric
+from conftest import (SIGNATURES, frame_metric, preset_metrics, random_element_coeffs,
+                      random_lorentz_metric, random_symmetric_metric)
 
 
 def random_matrix(rng):
@@ -174,11 +175,44 @@ def test_gamma_basis_is_a_value(basis):
     assert a != iso.GammaBasis(2.0 * basis.gammas, basis.metric)
 
 
-def test_dirac_matrices_wrong_signature_raises():
-    with pytest.raises(NoRealFactorization):
-        iso.dirac_matrices(gr.Metric(np.diag([1.0, 1.0, -1.0, -1.0])))
-    with pytest.raises(NoRealFactorization):
-        iso.dirac_matrices(gr.Metric(np.eye(4)))
+def test_dirac_matrices_every_signature():
+    rng = np.random.default_rng(7)
+    metrics = [gr.Metric(np.diag(d) * [1.0, 2.0, 0.5, 3.0]) for d in SIGNATURES]
+    metrics += [frame_metric(rng, d) for d in SIGNATURES for _ in range(20)]
+    for g in metrics:
+        assert iso.anticommutator_defect(iso.dirac_matrices(g)) <= 1e-13 * np.abs(g.g).max()
+
+
+def _three_branch_dirac_matrices(g):
+    """The former Lorentz-only route, kept as the oracle for the one route."""
+    base = iso._standard_gammas()
+    diag = np.diagonal(g.g)
+    if np.count_nonzero(g.g - np.diag(diag)) == 0:
+        pattern = tuple(np.sign(diag).astype(int))
+        if pattern == (1, -1, -1, -1):
+            return np.sqrt(np.abs(diag))[:, None, None] * base
+        if pattern == (-1, 1, 1, 1):
+            return np.sqrt(np.abs(diag))[:, None, None] * (1j * base)
+    evals, evecs = np.linalg.eigh(g.g)
+    n_pos = int(np.count_nonzero(evals > 0))
+    assert n_pos in (1, 3)
+    if n_pos == 1:
+        perm = [3, 0, 1, 2]  # positive eigenvalue first, matching (+,-,-,-)
+    else:
+        perm = [0, 1, 2, 3]  # negative eigenvalue first, matching (-,+,+,+)
+        base = 1j * base
+    factor = np.sqrt(np.abs(evals[perm]))[:, None] * evecs[:, perm].T
+    return np.einsum("nm,nij->mij", factor, base)
+
+
+def test_dirac_matrices_equal_three_branch_route_on_lorentz_metrics():
+    rng = np.random.default_rng(11)
+    metrics = preset_metrics() + [gr.Metric(np.diag([4.0, -9.0, -1.0, -0.25]))]
+    for _ in range(200):
+        g = random_lorentz_metric(rng)
+        metrics += [g, gr.Metric(-g.g)]  # one and three positive eigenvalues
+    for g in metrics:
+        assert iso.dirac_matrices(g).gammas.tobytes() == _three_branch_dirac_matrices(g).tobytes()
 
 
 # ---------------------------------------------------------------------------

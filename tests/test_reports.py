@@ -1,4 +1,4 @@
-"""Golden reports: four in-process ``spinrep verify --json`` runs against a fixture.
+"""Golden reports: five in-process ``spinrep verify --json`` runs against a fixture.
 
 ``tests/data/reports.jsonl`` holds, for each run in ``RUNS``, one line with the
 report's header and one line per check, with ``elapsed`` left out.  Every
@@ -30,6 +30,7 @@ RUNS = {
     "non-diagonal": ["--seed", "5", "--metric", "1,0.3,0,0,0.3,-1,0,0,0,0,-1,0.2,0,0,0.2,-1"],
     "minkowski-+++": ["--seed", "3", "--metric", "minkowski-+++", "--samples", "3"],
     "fail-path": ["--seed", "0", "--tol", "1e-300"],
+    "euclidean-3I": ["--seed", "0", "--metric", "3,0,0,0,0,3,0,0,0,0,3,0,0,0,0,3"],
 }
 
 
