@@ -58,7 +58,6 @@ from .transforms import (
     exterior_pushforward,
     gl4_on_matrices,
     grade_leakage,
-    is_isometry,
     metric_pullback,
     random_lorentz,
     spin_lift,
@@ -95,7 +94,6 @@ __all__ = [
     "grade_project",
     "hodge",
     "hodge_dirac_symbol",
-    "is_isometry",
     "left_rep",
     "matrix_to_clifford",
     "matrix_wedge",

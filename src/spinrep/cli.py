@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="override the per-check tolerances")
+                          help="override every residual check's tolerance; "
+                               "separation thresholds stay fixed")
     p_verify.add_argument("--samples", type=int, default=None,
                           help="override the per-check sample counts")
     p_verify.add_argument("--suite", action="append", default=None,

@@ -67,10 +67,6 @@ class PlaneWave:
         s = symbol_matrix(self.exponent, basis)
         return float(np.abs(s @ self.amplitude - self.mass * self.amplitude).max())
 
-    def is_solution(self, basis: GammaBasis, tol: float = 1e-10) -> bool:
-        scale = max(1.0, float(np.abs(self.amplitude).max()))
-        return self.residual(basis) <= tol * scale
-
 
 @dataclass(frozen=True)
 class PlaneWaveSolutions:

@@ -10,27 +10,27 @@ A declaration holds:
   reproduces identical reports (``None`` for a check that draws nothing);
 * ``samples``, the default sample count, which ``--samples`` replaces
   (``None`` where the sample set is fixed and ``--samples`` does not apply);
-* ``tol``, the default tolerance, which ``--tol`` replaces (``None`` where no
-  tolerance applies: a residual check then requires an exact zero);
+* ``tol``, the threshold: a residual's default tolerance, which ``--tol``
+  replaces, or a separation's fixed bound (``None`` where the check requires
+  an exact zero, as counts and rank deficits do);
 * ``trials(ctx, rng, n)``, which draws the samples from ``rng`` one after
-  another and yields one residual per sample judged; a sample it cannot
-  judge, such as a degenerate draw, yields nothing;
+  another and yields one value per sample judged; a sample it cannot judge,
+  such as a degenerate draw, yields nothing;
 * ``detail``, a fixed string or a function of the context; empty means
-  ``tol <tolerance>``;
+  ``tol <tolerance>`` or ``at least <threshold>``;
 * ``inputs``, the report key (``metric`` or ``A``) of the input each trial
-  yields with its residual; a failing check records the worst one;
-* ``body(ctx, rng, n, tol)`` in place of ``trials``, for the checks that are
-  not judged by their worst residual against a tolerance; it returns the
-  verdict, residual, sample count and detail itself.
+  yields with its value; a failing check records the worst one;
+* ``at_least``, the sense: ``False`` for a residual, whose largest value must
+  stay below ``tol``; ``True`` for a separation, whose smallest value must
+  stay above it.
 
-The runner's verdict for a residual check: it passes when every residual is
-finite and the worst is below the tolerance.  A non-finite residual fails the
-check, whatever the tolerance; the report then writes the residual as
-``null`` and says so in the detail.  The sample count reported is the number
-of residuals judged.  Where a check validates an implementation route, the
-comparison values come from an independent route (direct formulas, matrix
-representations, singular value decompositions) rather than from the code
-path under test.
+The runner alone judges.  A non-finite value fails the check in either
+sense; the report then writes the residual as ``null`` and says so in the
+detail.  The report's residual is the worst value, and its sample count the
+number of values judged.  Where a check validates an implementation route,
+the comparison values come from an independent route (direct formulas,
+matrix representations, singular value decompositions) rather than from the
+code path under test.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class SuiteContext:
     metric: gr.Metric
     seed: int = 0
     samples: int | None = None  # overrides per-check sample counts when set
-    tol: float | None = None  # overrides per-check tolerances when set
+    tol: float | None = None  # overrides the "at most" tolerances when set
 
     def rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(name.encode())])
@@ -84,10 +84,10 @@ class Check:
     key: str | None
     samples: int | None
     tol: float | None
-    trials: Callable[..., Iterator[Any]] | None = None
+    trials: Callable[..., Iterator[Any]]
     detail: str | Callable[[SuiteContext], str] = ""
     inputs: str | None = None
-    body: Callable[..., tuple[bool, float, int, str]] | None = None
+    at_least: bool = False
 
 
 # the per-metric checks stack at most this many metrics into one batch, so
@@ -176,26 +176,24 @@ def _wedge_associativity(ctx, rng, n):
         yield _maxabs(gr.wedge(gr.wedge(a, b), c).coeffs - gr.wedge(a, gr.wedge(b, c)).coeffs)
 
 
-def _grade_shift(ctx, rng, n, tol):
-    bad = 0
+def _grade_shift(ctx, rng, n):
+    # the largest coefficient outside grade k + 1 of the raised element and
+    # outside grade k - 1 of the lowered one
     for k in range(5):
         for _ in range(10):
             omega = gr.GrassmannElement(np.where(GRADE == k, _random_element(rng), 0))
             v = _random_vector(rng)
-            up = gr.delta(v, omega)
-            down = gr.delta_star(v, omega, ctx.metric)
-            if up.norm() > 1e-12 and up.grades(1e-13) != (k + 1,):
-                bad += 1
-            if down.norm() > 1e-12 and down.grades(1e-13) != (k - 1,):
-                bad += 1
-    return bad == 0, float(bad), 50, "raising/lowering exact on homogeneous input"
+            yield _maxabs(gr.delta(v, omega).coeffs[GRADE != k + 1])
+            yield _maxabs(gr.delta_star(v, omega, ctx.metric).coeffs[GRADE != k - 1])
 
 
-def _hodge_bijection(ctx, rng, n, tol):
-    rank = int(np.linalg.matrix_rank(gr.hodge_matrix(ctx.metric)))
+def _hodge_rank_deficit(ctx, rng, n):
+    yield NBLADES - np.linalg.matrix_rank(gr.hodge_matrix(ctx.metric))
+
+
+def _double_star_detail(ctx):
     scalars = gr.star_star_scalars(ctx.metric)
-    detail = "double star per grade: " + ", ".join(f"{s:+.6g}" for s in scalars)
-    return rank == NBLADES, float(rank), NBLADES, detail
+    return "double star per grade: " + ", ".join(f"{s:+.6g}" for s in scalars)
 
 
 def _contraction_vs_vee(ctx, rng, n):
@@ -316,20 +314,20 @@ def _left_right_commute(ctx, rng, n):
         yield _maxabs(a @ b - b @ a)
 
 
-def _matrix_representation(ctx, rng, n, tol):
+def _matrix_representation(ctx, rng, n):
     g = ctx.metric
     basis = ctx.basis()
-    blades = iso.gamma_blade_matrices(basis)
-    rank = np.linalg.matrix_rank(blades.reshape(NBLADES, 16))
-    residuals = []
     for _ in range(n):
         a = cl.CliffordElement(_random_element(rng))
         b = cl.CliffordElement(_random_element(rng))
         lhs = iso.clifford_to_matrix(cl.geometric_product(a, b, g), basis)
         rhs = iso.clifford_to_matrix(a, basis) @ iso.clifford_to_matrix(b, basis)
-        residuals.append(_maxabs(lhs - rhs))
-    worst = _worst(residuals)[0]
-    return worst < tol and rank == NBLADES, worst, n, f"basis rank {rank}/16, tol {tol:g}"
+        yield _maxabs(lhs - rhs)
+
+
+def _matrix_basis_rank_deficit(ctx, rng, n):
+    blades = iso.gamma_blade_matrices(ctx.basis())
+    yield NBLADES - np.linalg.matrix_rank(blades.reshape(NBLADES, 16))
 
 
 def _matrix_wedge(ctx, rng, n):
@@ -398,12 +396,12 @@ def _lift_projective(ctx, rng, n):
                        for gam in basis.gammas])
 
 
-def _no_lift_for_non_isometry(ctx, rng, n, tol):
+def _no_lift_for_non_isometry(ctx, rng, n):
+    # the smallest normalized singular value of the conjugation system
     basis = ctx.basis()
-    svals = [tr.conjugation_singular_values(tr.random_invertible_non_isometry(rng, ctx.metric),
-                                            basis)[-1] for _ in range(n)]
-    smallest = float(np.min(svals))  # np.min keeps a NaN, min() would drop it
-    return smallest > 1e-6, smallest, n, "smallest normalized singular value must stay > 1e-6"
+    for _ in range(n):
+        a = tr.random_invertible_non_isometry(rng, ctx.metric)
+        yield tr.conjugation_singular_values(a, basis)[-1], a
 
 
 # per grade: its blades, and each blade's generator indices as one row
@@ -431,7 +429,7 @@ def _gl4_invertibility(ctx, rng, n):
     basis = ctx.basis()
     for _ in range(n):
         a = _well_conditioned_map(rng)
-        act, act_inv = tr.gl4_on_matrices(a, basis), tr.gl4_on_matrices(np.linalg.inv(a), basis)
+        act, act_inv = tr.GL4Action(a, basis), tr.GL4Action(np.linalg.inv(a), basis)
         m = _random_matrix(rng)
         yield _maxabs(act(act_inv(m)) - m)
 
@@ -447,36 +445,30 @@ def _proposition_isometry(ctx, rng, n):
         yield tr.transport_residual(a, basis, blades), a
 
 
-def _proposition_non_isometry(ctx, rng, n, tol):
+def _proposition_non_isometry(ctx, rng, n):
     g = ctx.metric
     basis = ctx.basis()
-    svals, residuals = [], []
     for _ in range(n):
-        a = tr.random_invertible_non_isometry(rng, g)
-        svals.append(tr.conjugation_singular_values(a, basis)[-1])
-        b = tr.random_invertible_non_isometry(rng, g)
-        lhs = tr.gl4_on_matrices(a @ b, basis)
-        act_a, act_b = tr.gl4_on_matrices(a, basis), tr.gl4_on_matrices(b, basis)
+        a, b = tr.random_invertible_non_isometry(rng, g), tr.random_invertible_non_isometry(rng, g)
+        lhs = tr.GL4Action(a @ b, basis)
+        act_a, act_b = tr.GL4Action(a, basis), tr.GL4Action(b, basis)
         m = _random_matrix(rng)
-        residuals.append(_maxabs(lhs(m) - act_a(act_b(m))))
-    worst = _worst(residuals)[0]
-    smallest = float(np.min(svals))
-    detail = f"homomorphism residual with no conjugating element (min sv {smallest:.3e})"
-    return worst < tol and smallest > 1e-6, worst, n, detail
+        yield _maxabs(lhs(m) - act_a(act_b(m)))
 
 
-def _grade_preservation(ctx, rng, n, tol):
+def _lift_grade_leak(ctx, rng, n):
+    a = tr.random_lorentz(rng, ctx.metric)
     basis = ctx.basis()
-    sigma = tr.spin_lift(tr.random_lorentz(rng, ctx.metric), basis)
-    lift_leak = tr.grade_leakage(sigma.matrix, basis)
-    probe_coeffs = np.zeros(NBLADES, dtype=np.complex128)
-    probe_coeffs[0] = 1.0
-    probe_coeffs[TOP] = 0.5 + 0.25j
-    probe = iso.clifford_to_matrix(cl.CliffordElement(probe_coeffs), basis)
-    probe_leak = tr.grade_leakage(probe, basis)
-    ok = sigma.residual < 1e-8 and lift_leak < tol and probe_leak > tol
-    detail = f"lift leak {lift_leak:.3e}; generic even element leak {probe_leak:.3e}"
-    return ok, lift_leak, NBLADES * 2, detail
+    yield tr.grade_leakage(tr.spin_lift(a, basis).matrix, basis), a
+
+
+def _even_element_grade_leak(ctx, rng, n):
+    # 1 + (0.5 + 0.25i) g0g1g2g3: even and invertible, but it lifts no isometry
+    coeffs = np.zeros(NBLADES, dtype=np.complex128)
+    coeffs[0] = 1.0
+    coeffs[TOP] = 0.5 + 0.25j
+    basis = ctx.basis()
+    yield tr.grade_leakage(iso.clifford_to_matrix(cl.CliffordElement(coeffs), basis), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -525,30 +517,29 @@ def _hodge_dirac_square(ctx, rng, n):
         yield _maxabs(h @ h - g.inner(lam, lam) * eye)
 
 
-def _solution_dimensions(ctx, rng, n, tol):
+def _solution_dimensions(ctx, rng, n):
+    # how far the eigenspace route and the SVD null-space oracle each are from
+    # the expected column dimension: 2 on the mass shell, 0 off it
     basis = ctx.basis()
     g = ctx.metric
-    bad = 0
+
+    def defect(lam, m, expected):
+        sols = dr.plane_wave_solutions(lam, m, basis)
+        oracle = _null_space_dimension(dr.symbol_matrix(lam, basis) - m * np.eye(4))
+        return max(abs(sols.column_dimension - expected), abs(oracle - expected))
+
     for _ in range(n):
         m = rng.normal() + 1j * rng.normal()
         if abs(m) < 0.5:
             m += 0.7 * (1 if m.real >= 0 else -1)
-        lam = _random_massive_exponent(rng, g, m)
-        sols = dr.plane_wave_solutions(lam, m, basis)
-        oracle = _null_space_dimension(dr.symbol_matrix(lam, basis) - m * np.eye(4))
-        if sols.column_dimension != 2 or oracle != 2:
-            bad += 1
+        yield defect(_random_massive_exponent(rng, g, m), m, 2)
     for _ in range(n):
         m = rng.normal() + 1j * rng.normal()
         lam = _random_vector(rng)
         q = g.inner(lam, lam)
         if abs(q - m * m) < 0.1:
             lam = lam * 2.0
-        sols = dr.plane_wave_solutions(lam, m, basis)
-        oracle = _null_space_dimension(dr.symbol_matrix(lam, basis) - m * np.eye(4))
-        if sols.column_dimension != 0 or oracle != 0:
-            bad += 1
-    return bad == 0, float(bad), 2 * n, "eigenspace route validated against SVD null-space oracle"
+        yield defect(lam, m, 0)
 
 
 def _right_closure(ctx, rng, n):
@@ -592,17 +583,16 @@ def _isometry_rank(ctx, rng, n):
         yield tr.spinor_factorization(a, basis)[0], a
 
 
-def _non_isometry_mixing(ctx, rng, n, tol):
+def _non_isometry_mixing(ctx, rng, n):
     basis = ctx.basis()
-    maps = [np.diag([1.0, 2.0, 3.0, 4.0])]
-    maps += [tr.random_invertible_non_isometry(rng, ctx.metric) for _ in range(n)]
-    ratios = [tr.spinor_factorization(a, basis)[0] for a in maps]
-    smallest = float(np.min(ratios))  # np.min keeps a NaN, min() would drop it
-    return smallest > 1e-3, smallest, n + 1, "smallest operator-Schmidt ratio must stay > 1e-3"
+    maps = itertools.chain([np.diag([1.0, 2.0, 3.0, 4.0])],
+                           (tr.random_invertible_non_isometry(rng, ctx.metric) for _ in range(n)))
+    for a in maps:
+        yield tr.spinor_factorization(a, basis)[0], a
 
 
 # ---------------------------------------------------------------------------
-# suite, name, key, samples, tol, then the trials or body
+# suite, name, key, samples, tol, then the trials
 
 CHECKS = (
     Check("clifford", "product_associativity", "clifford.assoc", 100, 1e-11,
@@ -620,7 +610,7 @@ CHECKS = (
     Check("dirac", "hodge_dirac_squares_to_metric_norm", "dirac.hsquare", 50, 1e-11,
           _hodge_dirac_square),
     Check("dirac", "solution_space_dimensions", "dirac.dimensions", 20, None,
-          body=_solution_dimensions),
+          _solution_dimensions, detail="eigenspace route validated against SVD null-space oracle"),
     Check("dirac", "right_multiplication_closure", "dirac.rightclosure", 20, 1e-11, _right_closure),
     Check("dirac", "isometry_covariance", "dirac.covariance", 20, 1e-10, _covariance,
           detail="transformed solutions stay solutions"),
@@ -628,15 +618,17 @@ CHECKS = (
           _realigned_factor, detail="conjugations compared with spin_lift's", inputs="A"),
     Check("dirac", "isometries_preserve_rank_one", "dirac.rank", 20, 1e-9, _isometry_rank,
           detail="operator-Schmidt ratio of the realigned action", inputs="A"),
-    Check("dirac", "generic_map_mixes_product_states", "dirac.entangle", 20, None,
-          body=_non_isometry_mixing),
+    Check("dirac", "generic_map_mixes_product_states", "dirac.entangle", 20, 1e-3,
+          _non_isometry_mixing, inputs="A", at_least=True),
 
     Check("grassmann", "generator_anticommutator", "grassmann.anticommutator", 200, 1e-12,
           _generator_anticommutator, inputs="metric"),
     Check("grassmann", "wedge_associativity", "grassmann.wedge_assoc", 100, 1e-12,
           _wedge_associativity),
-    Check("grassmann", "grade_shift", "grassmann.grade_shift", None, None, body=_grade_shift),
-    Check("grassmann", "hodge_bijection", None, None, None, body=_hodge_bijection),
+    Check("grassmann", "grade_shift", "grassmann.grade_shift", None, None, _grade_shift,
+          detail="raising/lowering exact on homogeneous input"),
+    Check("grassmann", "hodge_bijection", None, None, None, _hodge_rank_deficit,
+          detail=_double_star_detail),
     Check("grassmann", "contraction_vs_vee_stable", "grassmann.vee", 50, 1e-10,
           _contraction_vs_vee, detail=_ratio_detail),
     Check("grassmann", "left_right_commutation", "grassmann.left_right", None, 1e-12,
@@ -647,8 +639,9 @@ CHECKS = (
     Check("iso", "left_multiplication_intertwining", "iso.left", 100, 1e-11, _left_intertwining),
     Check("iso", "two_sided_intertwining", "iso.lmr", 100, 1e-11, _two_sided_intertwining),
     Check("iso", "left_right_images_commute", "iso.commute", 50, 1e-11, _left_right_commute),
-    Check("iso", "matrix_representation", "iso.matrixrep", 100, 1e-11,
-          body=_matrix_representation),
+    Check("iso", "matrix_representation", "iso.matrixrep", 100, 1e-11, _matrix_representation),
+    Check("iso", "matrix_basis_rank", None, None, None, _matrix_basis_rank_deficit,
+          detail="the 16 blade matrices span Mat(4)"),
     Check("iso", "matrix_wedge_rules", "iso.matrixwedge", 50, 1e-11, _matrix_wedge,
           detail="nilpotent generators, unit law, associativity"),
     Check("iso", "gamma_basis_factorization", "iso.factorization", 20, 1e-11,
@@ -657,9 +650,13 @@ CHECKS = (
     Check("proposition", "exterior_transport_equals_conjugation", "proposition.isometry", 50,
           1e-10, _proposition_isometry, detail="all 16 basis blades per map", inputs="A"),
     Check("proposition", "non_isometry_still_homomorphism", "proposition.noniso", 30, 1e-10,
-          body=_proposition_non_isometry),
+          _proposition_non_isometry),
+    Check("proposition", "non_isometry_has_no_lift", "proposition.nolift", 30, 1e-6,
+          _no_lift_for_non_isometry, inputs="A", at_least=True),
     Check("proposition", "conjugation_preserves_grades_only_for_lifts", "proposition.grades",
-          None, 1e-11, body=_grade_preservation),
+          None, 1e-11, _lift_grade_leak, inputs="A"),
+    Check("proposition", "generic_even_element_mixes_grades", None, None, 1e-11,
+          _even_element_grade_leak, at_least=True),
 
     Check("transforms", "substitution_matches_pullback", "transforms.substitution", 30, 1e-11,
           _substitution_metric),
@@ -667,8 +664,8 @@ CHECKS = (
           _spin_lift, inputs="A"),
     Check("transforms", "lift_projective_homomorphism", "transforms.projective", 30, 1e-10,
           _lift_projective, detail="conjugations compared, not the elements"),
-    Check("transforms", "no_lift_for_non_isometries", "transforms.nolift", 30, None,
-          body=_no_lift_for_non_isometry),
+    Check("transforms", "no_lift_for_non_isometries", "transforms.nolift", 30, 1e-6,
+          _no_lift_for_non_isometry, inputs="A", at_least=True),
     Check("transforms", "pushforward_blocks_and_functoriality", "transforms.pushforward", 30,
           1e-10, _pushforward, detail="minor-determinant oracle"),
     Check("transforms", "gl4_action_invertible", "transforms.gl4inv", 20, 1e-10,
@@ -678,39 +675,36 @@ CHECKS = (
 SUITE_NAMES = tuple(sorted({c.suite for c in CHECKS}))
 
 
-def _worst(trials: Iterable[Any]) -> tuple[float, Any, int]:
-    """The worst residual, the input it came with and the number of residuals.
+def _worst(trials: Iterable[Any], at_least: bool) -> tuple[float, Any, int]:
+    """The worst value, the input it came with and the number of values.
 
-    Each trial is a residual or a ``(residual, input)`` pair.  A non-finite
-    residual is worse than any finite one, and the first is kept: ``max()``
-    would drop a NaN.
+    Each trial is a value or a ``(value, input)`` pair.  The worst is the
+    largest value, or the smallest when ``at_least``, and the first of equals;
+    a NaN is worse than any number (``max()`` would drop it).  No trials give 0.0.
     """
-    worst, culprit, count = 0.0, None, 0
+    sign = -1.0 if at_least else 1.0
+    worst, culprit, count = None, None, 0
     for trial in trials:
-        residual, sample = trial if isinstance(trial, tuple) else (trial, None)
+        value, sample = trial if isinstance(trial, tuple) else (trial, None)
         count += 1
-        if math.isfinite(worst) and not residual <= worst:
-            worst, culprit = float(residual), sample
-    return worst, culprit, count
+        if worst is None or not math.isnan(worst) and not sign * value <= sign * worst:
+            worst, culprit = float(value), sample
+    return (0.0 if worst is None else worst), culprit, count
 
 
 def _run(check: Check, ctx: SuiteContext) -> CheckResult:
     t0 = time.perf_counter()
     rng = ctx.rng(check.key) if check.key else None
     n = ctx.n(check.samples) if check.samples is not None else None
-    tol = ctx.tolerance(check.tol) if check.tol is not None else None
-    inputs = None
-    if check.body is not None:
-        ok, residual, samples, detail = check.body(ctx, rng, n, tol)
-    else:
-        residual, culprit, samples = _worst(check.trials(ctx, rng, n))
-        ok = residual < tol if tol is not None else residual == 0.0
-        detail = check.detail(ctx) if callable(check.detail) else check.detail or f"tol {tol:g}"
-        if not ok and check.inputs:
-            inputs = {check.inputs: np.asarray(culprit).tolist()}
-    if not math.isfinite(residual):
-        ok, residual, detail = False, None, f"{detail}; non-finite residual"
-    result = CheckResult(check.suite, check.name, PASS if ok else FAIL, residual=residual,
+    tol = check.tol if check.tol is None or check.at_least else ctx.tolerance(check.tol)
+    value, culprit, samples = _worst(check.trials(ctx, rng, n), check.at_least)
+    ok = value == 0.0 if tol is None else (value > tol if check.at_least else value < tol)
+    bound = "exact zero" if tol is None else f"{'at least' if check.at_least else 'tol'} {tol:g}"
+    detail = check.detail(ctx) if callable(check.detail) else check.detail or bound
+    inputs = {check.inputs: np.asarray(culprit).tolist()} if not ok and check.inputs else None
+    if not math.isfinite(value):
+        ok, value, detail = False, None, f"{detail}; non-finite residual"
+    result = CheckResult(check.suite, check.name, PASS if ok else FAIL, residual=value,
                          samples=samples, detail=detail, inputs=inputs)
     result.elapsed = time.perf_counter() - t0
     return result

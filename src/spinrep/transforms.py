@@ -38,10 +38,6 @@ def isometry_defect(a: np.ndarray, g: Metric) -> float:
     return float(np.abs(a.T @ g.g @ a - g.g).max())
 
 
-def is_isometry(a: np.ndarray, g: Metric, tol: float = DEFAULT_ISOMETRY_TOL) -> bool:
-    return isometry_defect(a, g) < tol
-
-
 def metric_pullback(a: np.ndarray, g: Metric) -> Metric:
     """The metric A^T g A, symmetrized to machine exactness.
 
@@ -312,7 +308,7 @@ def transport_residual(a: np.ndarray, basis: GammaBasis, matrices: np.ndarray) -
     """
     sigma = spin_lift(a, basis)
     stack = np.asarray(matrices)
-    acted = (gl4_on_matrices(a, basis)._operator @ stack.reshape(-1, 16).T).T.reshape(stack.shape)
+    acted = (GL4Action(a, basis)._operator @ stack.reshape(-1, 16).T).T.reshape(stack.shape)
     return float(np.abs(acted - sigma.matrix @ stack @ sigma.inverse_matrix).max())
 
 

@@ -3,11 +3,12 @@
 ``tests/data/reports.jsonl`` holds, for each run in ``RUNS``, one line with the
 report's header and one line per check, with ``elapsed`` left out.  Every
 other field must match exactly.  On a mismatch the test prints old and new
-status, residual and samples of every check side by side, and marks the
-checks whose entries differ in any field.
+status, residual and samples of every check side by side, marks the checks
+whose entries differ in any field and lists their other differing fields.
 
 A change that is meant to alter reports rewrites the fixture and says which
-fields changed and why::
+fields changed and why.  The script prints the same side-by-side view for
+every run whose report changed, then rewrites the fixture::
 
     PYTHONPATH=src python tests/test_reports.py
 """
@@ -56,10 +57,10 @@ def load_fixture() -> dict[str, dict]:
     return runs
 
 
-def write_fixture() -> None:
+def write_fixture(reports: dict[str, dict]) -> None:
     rows = []
-    for run, argv in RUNS.items():
-        report = verify_report(argv)
+    for run, report in reports.items():
+        report = dict(report)
         checks = report.pop("checks")
         rows.append({"run": run, "report": report})
         rows += [{"run": run, "check": check} for check in checks]
@@ -68,7 +69,11 @@ def write_fixture() -> None:
 
 
 def side_by_side(old: dict, new: dict) -> str:
-    """Old and new status, residual and samples per check; ``*`` marks a difference."""
+    """Old and new status, residual and samples per check; ``*`` marks a difference.
+
+    Under a marked check present in both reports, one line per other field
+    that differs gives its old and new value.
+    """
     lines = [f"header {key}: {old.get(key)!r} -> {new.get(key)!r}"
              for key in sorted((set(old) | set(new)) - {"checks"}) if old.get(key) != new.get(key)]
     before = {(c["suite"], c["name"]): c for c in old["checks"]}
@@ -85,6 +90,10 @@ def side_by_side(old: dict, new: dict) -> str:
         a, b = before.get(key), after.get(key)
         mark = " " if a == b else "*"
         lines.append(f"{mark} {'.'.join(key):<60} {cells(a)} | {cells(b)}")
+        if a is not None and b is not None:
+            lines += [f"      {field}: {a.get(field)!r} -> {b.get(field)!r}"
+                      for field in sorted((set(a) | set(b)) - {"status", "residual", "samples"})
+                      if a.get(field) != b.get(field)]
     return "\n".join(lines)
 
 
@@ -103,5 +112,11 @@ def test_report_matches_fixture(run, fixture_runs):
 
 
 if __name__ == "__main__":
-    write_fixture()
+    before = load_fixture() if FIXTURE.exists() else {}
+    after = {run: verify_report(argv) for run, argv in RUNS.items()}
+    for run, new in after.items():
+        old = before.get(run, {"checks": []})
+        if new != old:
+            print(f"report {run!r} changed:\n{side_by_side(old, new)}\n")
+    write_fixture(after)
     print(f"wrote {FIXTURE}")

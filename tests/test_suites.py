@@ -1,16 +1,81 @@
-"""The check runner's resource bounds: every suite runs in bounded memory."""
+"""The check runner: its verdict in each sense, and its resource bounds."""
 
+import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from spinrep import clifford as cl
 from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
-from spinrep.suites import SUITE_NAMES, SuiteContext, run_suite
+from spinrep.report import FAIL, PASS
+from spinrep.suites import SUITE_NAMES, Check, SuiteContext, _run, run_suite
 
 PER_METRIC_CACHES = (gr._gamma_ops_cached, gr._right_gamma_ops_cached, gr._hodge_matrix_cached,
                      cl._structure_cached, iso._matrix_basis_cached, iso._right_blade_ops_cached)
+
+
+def run_values(values, tol, at_least=False, inputs=None, ctx_tol=None):
+    """The result of a synthetic check whose trials yield ``values`` in order."""
+    check = Check("synthetic", "check", None, None, tol, lambda ctx, rng, n: iter(values),
+                  inputs=inputs, at_least=at_least)
+    return _run(check, SuiteContext(gr.minkowski(), tol=ctx_tol))
+
+
+@pytest.mark.parametrize("at_least, values, status, worst", [
+    (False, [1e-3, 5e-3, 2e-3], PASS, 5e-3),
+    (False, [1e-3, 0.5, 2e-3], FAIL, 0.5),
+    (True, [0.5, 0.1, 0.3], PASS, 0.1),
+    (True, [0.5, 1e-3, 0.3], FAIL, 1e-3),
+    # both bounds are strict
+    (False, [1e-3, 1e-2, 2e-3], FAIL, 1e-2),
+    (True, [0.5, 1e-2, 0.3], FAIL, 1e-2),
+])
+def test_verdict_in_each_sense(at_least, values, status, worst):
+    result = run_values(values, 1e-2, at_least)
+    assert (result.status, result.residual, result.samples) == (status, worst, 3)
+    assert result.detail == ("at least 0.01" if at_least else "tol 0.01")
+
+
+@pytest.mark.parametrize("values, status, worst", [
+    ([0, 0, 0], PASS, 0.0),
+    ([0, 1, 0], FAIL, 1.0),
+    ([0.0, 1e-300], FAIL, 1e-300),
+])
+def test_exact_zero_verdict(values, status, worst):
+    result = run_values(values, None)
+    assert (result.status, result.residual, result.detail) == (status, worst, "exact zero")
+
+
+@pytest.mark.parametrize("at_least", [False, True])
+def test_nan_fails_either_sense(at_least):
+    result = run_values([0.5, math.nan, 0.5], 1e-2, at_least)
+    assert result.status == FAIL
+    assert result.residual is None
+    assert result.detail.endswith("non-finite residual")
+    assert json.loads(json.dumps(result.to_dict()))["residual"] is None
+
+
+def test_context_tol_moves_tolerance_not_threshold():
+    # an "at most" tolerance follows SuiteContext.tol, both ways
+    assert run_values([5e-3], 1e-2, ctx_tol=1e-3).status == FAIL
+    assert run_values([5e-2], 1e-2, ctx_tol=1e-1).status == PASS
+    # an "at least" threshold is the declaration's, whatever SuiteContext.tol says
+    below = run_values([5e-3], 1e-2, at_least=True, ctx_tol=1e-3)
+    above = run_values([0.5], 1e-2, at_least=True, ctx_tol=1.0)
+    assert (below.status, above.status) == (FAIL, PASS)
+    assert below.detail == above.detail == "at least 0.01"
+
+
+def test_failing_at_least_check_records_smallest_input():
+    trials = [(0.5, np.full((2, 2), 1.0)), (1e-4, np.full((2, 2), 2.0)),
+              (1e-3, np.full((2, 2), 3.0))]
+    result = run_values(trials, 1e-2, at_least=True, inputs="A")
+    assert (result.status, result.residual) == (FAIL, 1e-4)
+    assert result.inputs == {"A": [[2.0, 2.0], [2.0, 2.0]]}
+    assert run_values(trials[:1], 1e-2, at_least=True, inputs="A").inputs is None
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
