@@ -18,7 +18,6 @@ from .dirac import (
     hodge_dirac_symbol,
     plane_wave_solutions,
     symbol_matrix,
-    transform_plane_wave,
 )
 from .errors import (
     ConfigError,
@@ -112,7 +111,6 @@ __all__ = [
     "symbol_matrix",
     "to_clifford",
     "to_grassmann",
-    "transform_plane_wave",
     "transport_residual",
     "vee",
     "wedge",

@@ -131,33 +131,20 @@ def plane_wave_solutions(
     return PlaneWaveSolutions(lam, m, q)
 
 
-def transform_plane_wave(
-    a: np.ndarray,
-    wave: PlaneWave,
-    basis: GammaBasis,
-    isometry_tol: float = DEFAULT_ISOMETRY_TOL,
-) -> PlaneWave:
-    """Push a plane wave along an isometry.
-
-    The amplitude is conjugated by the lift and the exponent transforms with
-    the map itself (the companion of the generator substitution convention, so
-    that solutions map to solutions).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    sigma = spin_lift(a, basis, isometry_tol)
-    amplitude = sigma.matrix @ wave.amplitude @ sigma.inverse_matrix
-    return PlaneWave(amplitude, a @ wave.exponent, wave.mass)
-
-
 def covariance_residual(
     a: np.ndarray,
     wave: PlaneWave,
     basis: GammaBasis,
     isometry_tol: float = DEFAULT_ISOMETRY_TOL,
 ) -> float:
-    """Residual of the transformed wave in the Dirac equation.
+    """Residual in the Dirac equation of the wave pushed along an isometry.
 
-    A true solution stays a true solution under any isometry of the metric;
-    raises :class:`NotIsometry` otherwise.
+    The amplitude is conjugated by the lift and the exponent transforms with
+    the map itself (the companion of the generator substitution convention),
+    so a true solution stays a true solution under any isometry of the
+    metric; raises :class:`NotIsometry` otherwise.
     """
-    return transform_plane_wave(a, wave, basis, isometry_tol).residual(basis)
+    a = np.asarray(a, dtype=np.float64)
+    sigma = spin_lift(a, basis, isometry_tol)
+    amplitude = sigma.matrix @ wave.amplitude @ sigma.inverse_matrix
+    return PlaneWave(amplitude, a @ wave.exponent, wave.mass).residual(basis)

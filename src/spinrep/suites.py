@@ -567,7 +567,7 @@ def _covariance(ctx, rng, n):
 
 
 def _realigned_factor(ctx, rng, n):
-    # the 64x16 conjugation-system SVD inside spin_lift is the independent
+    # spin_lift's real null vector on blade coefficients is the independent
     # oracle; comparing conjugations cancels the free scale and phase
     basis = ctx.basis()
     for a in _isometries(rng, ctx.metric, n):

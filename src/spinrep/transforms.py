@@ -1,10 +1,12 @@
 """Linear coordinate changes and their actions on the algebras.
 
 Covers substitution of generators along a linear map, spin lifts of metric
-isometries (solved as the null space of the stacked conjugation system),
-the grade-wise exterior extension of an arbitrary linear map, metric
-pullback, the induced action on 4x4 matrices, and the residuals comparing
-the two transformation routes.
+isometries, the grade-wise exterior extension of an arbitrary linear map,
+metric pullback, the induced action on 4x4 matrices, and the residuals
+comparing the two transformation routes.  A lift is the null vector of one
+real 64x16 system on the 16 blade coefficients of the real Clifford algebra,
+with grade k scaled by sigma^k, sigma = |det g|^(1/8); the complex 64x16
+conjugation system on 4x4 matrices is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -14,18 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._tables import GRADE, NBLADES
-from .clifford import CliffordElement, even_part, odd_part
+from ._tables import DIM, GRADE, NBLADES
+from .clifford import CliffordElement
 from .errors import LiftNotFound, NotIsometry
-from .grassmann import Metric
+from .grassmann import _INSERT_LEFT, _INSERT_RIGHT, _REMOVE_LEFT, _REMOVE_RIGHT, Metric
 from .isomorphisms import (
     GammaBasis,
     _matrix_basis_cached,
+    clifford_to_matrix,
     gamma_blade_matrices,
     matrix_to_clifford,
 )
 
-_EYE4 = np.eye(4, dtype=np.complex128)
+_EYE4 = np.eye(DIM)
 
 DEFAULT_ISOMETRY_TOL = 1e-10
 LIFT_ACCEPT = 1e-8  # largest normalized singular value accepted as null
@@ -60,7 +63,12 @@ def substitute_gammas(a: np.ndarray, basis: GammaBasis) -> GammaBasis:
 
 def conjugation_system(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
     """Stacked 64x16 system whose null vectors conjugate the generators into
-    their substituted images: Sigma gamma_mu - gamma'_mu Sigma = 0 for all mu."""
+    their substituted images: Sigma gamma_mu - gamma'_mu Sigma = 0 for all mu.
+
+    Complex and over the 16 matrix entries of Sigma, independent of the blade
+    basis: the oracle for :func:`spin_lift`'s real route, and the diagnosis
+    of maps that have no lift.
+    """
     gp = _substituted(a, basis)
     # row-major vec: vec(X G) = (I (x) G^T) vec X, vec(G' X) = (G' (x) I) vec X,
     # each Kronecker product as one broadcast product over the four mu
@@ -94,7 +102,6 @@ class SpinElement:
     matrix: np.ndarray
     parity: str
     residual: float | None
-    branch: int = 0
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128)
@@ -106,28 +113,30 @@ class SpinElement:
         return np.linalg.inv(self.matrix)
 
 
-def _parity_of(element: CliffordElement, tol: float = 1e-9) -> str:
-    total = element.norm()
+_ODD = GRADE % 2 == 1
+
+
+def _parity_of(coeffs: np.ndarray, tol: float = 1e-9) -> str:
+    total = np.linalg.norm(coeffs)
     if total == 0:
         return "even"
-    if odd_part(element).norm() <= tol * total:
+    if np.linalg.norm(coeffs[_ODD]) <= tol * total:
         return "even"
-    if even_part(element).norm() <= tol * total:
+    if np.linalg.norm(coeffs[~_ODD]) <= tol * total:
         return "odd"
     return "mixed"
 
 
-def _normalize_phase(m: np.ndarray, basis: GammaBasis) -> tuple[np.ndarray, int]:
-    """Scale to unit determinant, then pick the i^k branch deterministically.
+def _normalize_phase(coeffs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale coefficients and matrix to unit determinant, then pick the i^k
+    branch deterministically.
 
     Among the four unit-determinant rescalings the one making the
     largest-magnitude blade coefficient have the largest real part (ties by
-    imaginary part) is chosen.
+    imaginary part, then the lowest k) is chosen.
     """
-    det = np.linalg.det(m)
-    m = m / det ** 0.25
-    coeffs = matrix_to_clifford(m, basis).coeffs
-    ref = coeffs[int(np.argmax(np.abs(coeffs)))]
+    scale = np.linalg.det(m) ** -0.25
+    ref = complex(coeffs[int(np.argmax(np.abs(coeffs)))] * scale)
     branch = 0
     best = None
     for k in range(4):
@@ -136,7 +145,18 @@ def _normalize_phase(m: np.ndarray, basis: GammaBasis) -> tuple[np.ndarray, int]
         if best is None or score > best:
             best = score
             branch = k
-    return m * 1j**branch, branch
+    scale = scale * 1j**branch
+    return coeffs * scale, m * scale
+
+
+# S gamma_mu - gamma'_mu S on blade coefficients is right multiplication by
+# generator mu minus left multiplication by sum_nu A[nu, mu] gamma_nu.  With
+# the generator operators INS + g REM, block mu of that system is
+#   sum_k I[mu,k] INS_R[k] + g[mu,k] REM_R[k] - A^T[mu,k] INS_L[k] - (A^T g)[mu,k] REM_L[k],
+# one (4x16) weight [I, g, -A^T, -A^T g] times this (16x256) stack
+_CONJUGATION_STACK = np.concatenate(
+    [_INSERT_RIGHT, _REMOVE_RIGHT, _INSERT_LEFT, _REMOVE_LEFT]
+).reshape(4 * DIM, NBLADES * NBLADES)
 
 
 def spin_lift(
@@ -146,17 +166,27 @@ def spin_lift(
 ) -> SpinElement:
     """Conjugating element for an isometry of the basis metric.
 
-    Solves the stacked conjugation system by singular value decomposition and
-    accepts the null vector only when it is isolated (smallest normalized
-    singular value below 1e-8, next one above 1e-4).  Raises
+    For a real metric and a real isometry the conjugating element lies in
+    the real Clifford algebra, so S gamma_mu - gamma'_mu S = 0 is solved as
+    one real 64x16 system on the 16 blade coefficients.  Grade k is scaled
+    by sigma^k with sigma = |det g|^(1/8), which keeps the system well
+    scaled on metrics far from unit size.  One singular value decomposition
+    gives the null vector, accepted only when it is isolated (smallest
+    normalized singular value below 1e-8, next one above 1e-4).  Raises
     :class:`NotIsometry` when A^T g A differs from g beyond tolerance and
     :class:`LiftNotFound` when the system has no usable null vector.
     """
     a = np.asarray(a, dtype=np.float64)
-    defect = isometry_defect(a, basis.metric)
+    g = basis.metric
+    defect = isometry_defect(a, g)
     if defect >= isometry_tol:
         raise NotIsometry(f"A^T g A - g has max entry {defect:.3e} >= {isometry_tol:.3e}")
-    system = conjugation_system(a, basis)
+    # conjugating by diag(sigma^GRADE) scales insertions by sigma and removals
+    # by 1/sigma; the null vector comes back divided by sigma^GRADE
+    sigma = abs(g.det) ** 0.125
+    at, g_scaled = a.T, g.g / sigma
+    weight = np.concatenate((sigma * _EYE4, g_scaled, at * -sigma, at @ -g_scaled), axis=1)
+    system = (weight @ _CONJUGATION_STACK).reshape(DIM * NBLADES, NBLADES)
     _, s, vh = np.linalg.svd(system, full_matrices=False)
     if s[0] == 0:
         raise LiftNotFound("conjugation system vanished entirely")
@@ -167,11 +197,10 @@ def spin_lift(
             f"no isolated null vector: normalized singular values "
             f"{smallest:.3e}, {next_smallest:.3e}"
         )
-    m = vh[-1].conj().reshape(4, 4)
-    m, branch = _normalize_phase(m, basis)
+    coeffs = vh[-1] / sigma**GRADE
+    coeffs, m = _normalize_phase(coeffs, clifford_to_matrix(CliffordElement(coeffs), basis))
     residual = _conjugation_residual(m, a, basis)
-    element = matrix_to_clifford(m, basis)
-    return SpinElement(element, m, _parity_of(element), residual, branch)
+    return SpinElement(CliffordElement(coeffs), m, _parity_of(coeffs), residual)
 
 
 def _conjugation_residual(m: np.ndarray, a: np.ndarray, basis: GammaBasis) -> float:

@@ -199,15 +199,52 @@ def test_conjugation_system_equals_kron_stack(basis, skew_basis, rng):
                                           kron_conjugation_system(a, b))
 
 
-def test_spin_lift_matrix_unchanged_by_thin_svd(basis, skew_basis, rng):
-    for b in (basis, skew_basis):
-        for i in range(10):
-            a = tr.random_lorentz(rng, b.metric) * (-1 if i % 3 == 2 else 1)
-            _, _, vh = np.linalg.svd(tr.conjugation_system(a, b))  # full U
-            expected, branch = tr._normalize_phase(vh[-1].conj().reshape(4, 4), b)
-            s = tr.spin_lift(a, b)
-            np.testing.assert_array_equal(s.matrix, expected)
-            assert s.branch == branch
+def oracle_lift_matrix(a, basis):
+    """The lift from the matrix-space route: the full-SVD null vector of the
+    complex conjugation system, at unit determinant on spin_lift's branch."""
+    _, _, vh = np.linalg.svd(tr.conjugation_system(a, basis))
+    m = vh[-1].conj().reshape(4, 4)
+    return tr._normalize_phase(iso.matrix_to_clifford(m, basis).coeffs, m)[1]
+
+
+def anisotropic_lorentz_metric():
+    """F^T eta F for F = Q1 diag(1, 2, 0.7, 8) Q2."""
+    rng = np.random.default_rng(7)
+    q1, q2 = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    f = q1 @ np.diag([1.0, 2.0, 0.7, 8.0]) @ q2
+    m = f.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ f
+    return gr.Metric((m + m.T) / 2.0)
+
+
+ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+ORACLE_METRICS = [gr.Metric(ETA), SKEW, gr.Metric(3.0 * np.eye(4)),
+                  gr.Metric(np.diag([1.0, 1.0, -1.0, -1.0])), gr.Metric(-np.eye(4)),
+                  anisotropic_lorentz_metric(), gr.Metric(0.0015 * ETA), gr.Metric(30.0 * ETA)]
+
+
+@pytest.mark.parametrize("g", ORACLE_METRICS, ids=["eta", "non-diagonal", "3I", "split", "-I",
+                                                   "frame", "0.0015eta", "30eta"])
+def test_spin_lift_matches_matrix_space_oracle(g, rng):
+    b = iso.dirac_matrices(g)
+    maps = [tr.random_lorentz(rng, g) * (-1 if i % 3 == 2 else 1) for i in range(9)]
+    maps += [tr.random_lorentz(rng, g) @ tr.random_lorentz(rng, g) for _ in range(6)]
+    for a in maps:
+        expected = oracle_lift_matrix(a, b)
+        got = tr.spin_lift(a, b).matrix
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_spin_lift_takes_one_real_svd(basis, rng, monkeypatch):
+    dtypes = []
+    svd = np.linalg.svd
+
+    def recording_svd(x, *args, **kwargs):
+        dtypes.append(np.asarray(x).dtype)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    tr.spin_lift(tr.random_lorentz(rng, basis.metric), basis)
+    assert dtypes == [np.dtype(np.float64)]
 
 
 def test_lift_works_for_non_minkowski_metric(rng):
