@@ -5,17 +5,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._tables import BLADE_BITS, BLADES_BY_GRADE, NBLADES, WEDGE_TENSOR
+from ._tables import BLADE_BITS, BLADES_BY_GRADE, DIM, NBLADES, WEDGE_TENSOR
+
+
+def _expansion_tables(blades: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat gather tables for the compound block of one grade k >= 2.
+
+    Entry (R, c) is sum_j (-1)^j minor(R - v_j, c - top) a[v_j, top], top the
+    highest factor of c and v_j the factors of R from the highest down.
+    Returns the (k, n, n) indices of those lower minors in the flat 16x16
+    result, of the matching entries in the flat stack [a; -a] (the second
+    half carries the sign), and the (n, n) indices of the block itself.
+    """
+    r = np.array(blades)
+    down = np.array([BLADE_BITS[b][::-1] for b in blades]).T  # (k, n): v_j of R
+    top = down[0]
+    minors = (r ^ (1 << down))[:, :, None] * NBLADES + (r ^ (1 << top))
+    sign = (np.arange(len(down)) % 2)[:, None, None]
+    entries = (sign * DIM + down[:, :, None]) * DIM + top
+    return minors, entries, r[:, None] * NBLADES + r
+
 
 _VECTORS = np.array(BLADES_BY_GRADE[1])
-# the wedge table with a grade-1 right factor: row 4 a + i pairs blade a with e_i
-_WEDGE_VECTOR = WEDGE_TENSOR[:, _VECTORS, :].reshape(NBLADES * 4, NBLADES)
-# per grade 2..4: its blades, each without its highest factor, and that factor
-_STEPS = [
-    (np.array(blades), np.array([b ^ (1 << BLADE_BITS[b][-1]) for b in blades]),
-     np.array([BLADE_BITS[b][-1] for b in blades]))
-    for blades in BLADES_BY_GRADE[2:]
-]
+_GRADE1 = (_VECTORS[:, None] * NBLADES + _VECTORS).reshape(-1)
+_EXPANSIONS = [_expansion_tables(blades) for blades in BLADES_BY_GRADE[2:]]
 
 
 def wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -39,18 +52,23 @@ def compound16(a: np.ndarray) -> np.ndarray:
     """Exterior extension of a real 4x4 matrix: the 16x16 block-diagonal stack
     of its compound matrices, entry [r, c] the minor of rows r, columns c.
 
-    Column c is the wedge of the columns of ``a`` named by the factors of
-    blade c, built grade by grade: the column without its highest factor,
-    wedged with that factor's column, in one batched product per grade.
+    Built grade by grade, each minor expanded along its highest column: one
+    gather of the lower minors and one of the matching entries of ``a``, one
+    product, one sum over the expansion terms and one scatter.  The terms are
+    added in ascending order of the lower row blade, the order in which the
+    wedge of the columns adds them, so the two agree bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
-    cols = np.zeros((NBLADES, NBLADES))  # row c holds column c
-    cols[0, 0] = 1.0
-    cols[_VECTORS[:, None], _VECTORS] = a.T
-    for blades, lower, factor in _STEPS:
-        pairs = cols[lower][:, :, None] * a[:, factor].T[:, None, :]
-        cols[blades] = pairs.reshape(len(blades), -1) @ _WEDGE_VECTOR
-    return cols.T
+    if a.shape != (DIM, DIM):
+        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
+    a = a.reshape(-1)
+    signed = np.concatenate((a, -a))
+    out = np.zeros(NBLADES * NBLADES)
+    out[0] = 1.0
+    out[_GRADE1] = a
+    for minors, entries, block in _EXPANSIONS:
+        out[block] = np.add.reduce(out.take(minors) * signed.take(entries))
+    return out.reshape(NBLADES, NBLADES)
 
 
 def backend_name() -> str:

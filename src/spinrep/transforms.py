@@ -3,9 +3,11 @@
 Covers substitution of generators along a linear map, spin lifts of metric
 isometries, the grade-wise exterior extension of an arbitrary linear map,
 metric pullback, the induced action on 4x4 matrices, and the residuals
-comparing the two transformation routes.  A lift is the null vector of one
-real 64x16 system on the 16 blade coefficients of the real Clifford algebra,
-with grade k scaled by sigma^k, sigma = |det g|^(1/8); the complex 64x16
+comparing the two transformation routes.  A lift is the null vector of a
+real system on the 16 blade coefficients of the real Clifford algebra, with
+grade k scaled by sigma^k, sigma = |det g|^(1/8).  Every generator operator
+changes the grade by one, so the system splits into two 32x8 parity blocks,
+solved in one batched SVD; the lift lies in one of them.  The complex 64x16
 conjugation system on 4x4 matrices is kept as its independent oracle.
 """
 
@@ -94,37 +96,23 @@ class SpinElement:
     """Invertible algebra element conjugating the generators along an isometry.
 
     ``parity`` is ``"even"`` for orientation-preserving isometries and
-    ``"odd"`` for orientation-reversing ones; the matrix image is normalized
-    to unit determinant with a deterministic phase branch.
+    ``"odd"`` for orientation-reversing ones, and the element has no
+    coefficient of the other parity.  The matrix image is normalized to unit
+    determinant with a deterministic phase branch; ``inverse_matrix`` is its
+    inverse, computed once by :func:`spin_lift`.
     """
 
     element: CliffordElement
     matrix: np.ndarray
     parity: str
     residual: float | None
+    inverse_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def inverse_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
-
-
-_ODD = GRADE % 2 == 1
-
-
-def _parity_of(coeffs: np.ndarray, tol: float = 1e-9) -> str:
-    total = np.linalg.norm(coeffs)
-    if total == 0:
-        return "even"
-    if np.linalg.norm(coeffs[_ODD]) <= tol * total:
-        return "even"
-    if np.linalg.norm(coeffs[~_ODD]) <= tol * total:
-        return "odd"
-    return "mixed"
+        for name in ("matrix", "inverse_matrix"):
+            m = np.array(getattr(self, name), dtype=np.complex128)
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
 
 def _normalize_phase(coeffs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,10 +141,15 @@ def _normalize_phase(coeffs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.
 # generator mu minus left multiplication by sum_nu A[nu, mu] gamma_nu.  With
 # the generator operators INS + g REM, block mu of that system is
 #   sum_k I[mu,k] INS_R[k] + g[mu,k] REM_R[k] - A^T[mu,k] INS_L[k] - (A^T g)[mu,k] REM_L[k],
-# one (4x16) weight [I, g, -A^T, -A^T g] times this (16x256) stack
-_CONJUGATION_STACK = np.concatenate(
-    [_INSERT_RIGHT, _REMOVE_RIGHT, _INSERT_LEFT, _REMOVE_LEFT]
-).reshape(4 * DIM, NBLADES * NBLADES)
+# one (4x16) weight [I, g, -A^T, -A^T g] times the stack of the four tables.
+# Each table moves one generator in or out, so it maps even blades to odd
+# ones and odd to even; only those two 8x8 blocks are kept, as a (16x128)
+# stack of (odd rows x even columns, even rows x odd columns)
+_EVEN, _ODD = np.flatnonzero(GRADE % 2 == 0), np.flatnonzero(GRADE % 2 == 1)
+_TABLES = np.concatenate([_INSERT_RIGHT, _REMOVE_RIGHT, _INSERT_LEFT, _REMOVE_LEFT])
+_CONJUGATION_STACK = np.stack(
+    (_TABLES[:, _ODD[:, None], _EVEN], _TABLES[:, _EVEN[:, None], _ODD]), axis=1
+).reshape(4 * DIM, 128)
 
 
 def spin_lift(
@@ -167,14 +160,17 @@ def spin_lift(
     """Conjugating element for an isometry of the basis metric.
 
     For a real metric and a real isometry the conjugating element lies in
-    the real Clifford algebra, so S gamma_mu - gamma'_mu S = 0 is solved as
-    one real 64x16 system on the 16 blade coefficients.  Grade k is scaled
-    by sigma^k with sigma = |det g|^(1/8), which keeps the system well
-    scaled on metrics far from unit size.  One singular value decomposition
-    gives the null vector, accepted only when it is isolated (smallest
-    normalized singular value below 1e-8, next one above 1e-4).  Raises
-    :class:`NotIsometry` when A^T g A differs from g beyond tolerance and
-    :class:`LiftNotFound` when the system has no usable null vector.
+    the real Clifford algebra, and it is even or odd with the orientation of
+    the map, so S gamma_mu - gamma'_mu S = 0 is solved as two real 32x8
+    systems, one on the even and one on the odd blade coefficients.  Grade k
+    is scaled by sigma^k with sigma = |det g|^(1/8), which keeps the systems
+    well scaled on metrics far from unit size.  One batched singular value
+    decomposition gives both; the 16 singular values, divided by the largest,
+    must have an isolated null (smallest below 1e-8, next one above 1e-4),
+    and the null vector comes from the block holding the smallest, which
+    names the parity.  Raises :class:`NotIsometry` when A^T g A differs from
+    g beyond tolerance and :class:`LiftNotFound` when the system has no
+    usable null vector.
     """
     a = np.asarray(a, dtype=np.float64)
     g = basis.metric
@@ -186,25 +182,26 @@ def spin_lift(
     sigma = abs(g.det) ** 0.125
     at, g_scaled = a.T, g.g / sigma
     weight = np.concatenate((sigma * _EYE4, g_scaled, at * -sigma, at @ -g_scaled), axis=1)
-    system = (weight @ _CONJUGATION_STACK).reshape(DIM * NBLADES, NBLADES)
-    _, s, vh = np.linalg.svd(system, full_matrices=False)
-    if s[0] == 0:
+    # (mu, block, row, column) -> per block, 32 equations (mu, row) on 8 coefficients
+    blocks = (weight @ _CONJUGATION_STACK).reshape(DIM, 2, 8, 8)
+    _, s, vh = np.linalg.svd(blocks.transpose(1, 0, 2, 3).reshape(2, 32, 8), full_matrices=False)
+    largest = s[:, 0].max()
+    if largest == 0:
         raise LiftNotFound("conjugation system vanished entirely")
-    smallest = s[-1] / s[0]
-    next_smallest = s[-2] / s[0]
+    smallest, next_smallest = np.sort(s, axis=None)[:2] / largest
     if smallest > LIFT_ACCEPT or next_smallest < LIFT_GAP:
         raise LiftNotFound(
             f"no isolated null vector: normalized singular values "
             f"{smallest:.3e}, {next_smallest:.3e}"
         )
-    coeffs = vh[-1] / sigma**GRADE
+    odd = int(s[1, -1] < s[0, -1])
+    coeffs = np.zeros(NBLADES)
+    coeffs[(_EVEN, _ODD)[odd]] = vh[odd, -1]
+    coeffs /= sigma**GRADE
     coeffs, m = _normalize_phase(coeffs, clifford_to_matrix(CliffordElement(coeffs), basis))
-    residual = _conjugation_residual(m, a, basis)
-    return SpinElement(CliffordElement(coeffs), m, _parity_of(coeffs), residual)
-
-
-def _conjugation_residual(m: np.ndarray, a: np.ndarray, basis: GammaBasis) -> float:
-    return float(np.abs(m @ basis.gammas @ np.linalg.inv(m) - _substituted(a, basis)).max())
+    inverse = np.linalg.inv(m)
+    residual = float(np.abs(m @ basis.gammas @ inverse - _substituted(a, basis)).max())
+    return SpinElement(CliffordElement(coeffs), m, ("even", "odd")[odd], residual, inverse)
 
 
 def exterior_pushforward(a: np.ndarray) -> np.ndarray:

@@ -174,7 +174,7 @@ def test_verify_samples_override(capsys):
     for samples in ("1", "7"):
         code, out, _ = run_cli(capsys, "verify", "--suite", "dirac", "--samples", samples)
         assert code == 0
-        assert "PASS  dirac.isometry_covariance  residual=6.584e-15  n=5  " in out
+        assert "PASS  dirac.isometry_covariance  residual=2.969e-14  n=5  " in out
 
 
 def test_verify_small_metric_skips_degenerate_pullbacks(capsys):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spinrep import _kernels
 from spinrep import clifford as cl
@@ -66,8 +67,18 @@ def wedge_chain_pushforward(a):
 
 def test_compound16_equals_wedge_chain(rng):
     mats = [np.eye(4)] + [rng.normal(size=(4, 4)) for _ in range(50)]
+    # far from unit scale, and singular: rank 1 to 3, so whole minors cancel
+    mats += [rng.normal(size=(4, 4)) * scale for scale in (1e-3, 1e-1, 1e1, 1e3) for _ in range(10)]
+    mats += [rng.normal(size=(4, rank)) @ rng.normal(size=(rank, 4)) * scale
+             for rank in (1, 2, 3) for scale in (1e-3, 1.0, 1e3) for _ in range(5)]
     for a in mats:
         np.testing.assert_array_equal(_kernels.compound16(a), wedge_chain_pushforward(a))
+
+
+def test_compound16_rejects_other_shapes():
+    for shape in [(16,), (2, 8), (1, 4), (4, 4, 1)]:
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            _kernels.compound16(np.ones(shape))
 
 
 def test_insert_remove_signs_match_position_counting():

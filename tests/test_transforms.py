@@ -222,29 +222,80 @@ ORACLE_METRICS = [gr.Metric(ETA), SKEW, gr.Metric(3.0 * np.eye(4)),
                   anisotropic_lorentz_metric(), gr.Metric(0.0015 * ETA), gr.Metric(30.0 * ETA)]
 
 
+def random_reflection(rng, g):
+    """The g-reflection I - 2 v v^T g / (v^T g v) along a random v that is not
+    nearly null, |v^T g v| > 0.1 max|g|: an isometry of determinant -1."""
+    while True:
+        v = rng.normal(size=4)
+        norm = v @ g.g @ v
+        if abs(norm) > 0.1 * np.abs(g.g).max():
+            return np.eye(4) - 2.0 * np.outer(v, g.g @ v) / norm
+
+
 @pytest.mark.parametrize("g", ORACLE_METRICS, ids=["eta", "non-diagonal", "3I", "split", "-I",
                                                    "frame", "0.0015eta", "30eta"])
 def test_spin_lift_matches_matrix_space_oracle(g, rng):
     b = iso.dirac_matrices(g)
     maps = [tr.random_lorentz(rng, g) * (-1 if i % 3 == 2 else 1) for i in range(9)]
     maps += [tr.random_lorentz(rng, g) @ tr.random_lorentz(rng, g) for _ in range(6)]
+    # the odd block: reflections, alone and composed with isometries on either side
+    maps += [random_reflection(rng, g), random_reflection(rng, g) @ tr.random_lorentz(rng, g),
+             tr.random_lorentz(rng, g) @ random_reflection(rng, g),
+             -random_reflection(rng, g) @ tr.random_lorentz(rng, g),
+             random_reflection(rng, g) @ random_reflection(rng, g) @ tr.random_lorentz(rng, g)]
     for a in maps:
         expected = oracle_lift_matrix(a, b)
-        got = tr.spin_lift(a, b).matrix
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        lift = tr.spin_lift(a, b)
+        assert np.abs(lift.matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert lift.parity == ("even" if np.linalg.det(a) > 0 else "odd")
 
 
-def test_spin_lift_takes_one_real_svd(basis, rng, monkeypatch):
-    dtypes = []
+def recorded_svd_inputs(monkeypatch):
+    """Replace np.linalg.svd by a wrapper that records every input it is given."""
+    inputs = []
     svd = np.linalg.svd
 
     def recording_svd(x, *args, **kwargs):
-        dtypes.append(np.asarray(x).dtype)
+        inputs.append(np.asarray(x))
         return svd(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return inputs
+
+
+def test_spin_lift_takes_one_real_svd(basis, rng, monkeypatch):
+    inputs = recorded_svd_inputs(monkeypatch)
     tr.spin_lift(tr.random_lorentz(rng, basis.metric), basis)
-    assert dtypes == [np.dtype(np.float64)]
+    assert [(x.dtype, x.shape) for x in inputs] == [(np.dtype(np.float64), (2, 32, 8))]
+
+
+@pytest.mark.parametrize("table", ["_INSERT_LEFT", "_REMOVE_LEFT", "_INSERT_RIGHT", "_REMOVE_RIGHT"])
+def test_move_tables_change_parity(table):
+    same_parity = GRADE[:, None] % 2 == GRADE[None, :] % 2
+    stack = getattr(gr, table)
+    assert np.count_nonzero(stack[:, same_parity]) == 0
+    # each generator moves in or out of half the blades
+    assert np.count_nonzero(stack[:, ~same_parity]) == 4 * NBLADES // 2
+
+
+@pytest.mark.parametrize("g", ORACLE_METRICS[:2] + ORACLE_METRICS[-2:],
+                         ids=["eta", "non-diagonal", "0.0015eta", "30eta"])
+def test_parity_blocks_keep_the_full_systems_singular_values(g, rng, monkeypatch):
+    """The two 32x8 blocks have the singular values of the real 64x16 system
+    built from the four whole move tables, even and odd maps alike."""
+    b = iso.dirac_matrices(g)
+    svd = np.linalg.svd
+    inputs = recorded_svd_inputs(monkeypatch)
+    tables = np.concatenate([gr._INSERT_RIGHT, gr._REMOVE_RIGHT, gr._INSERT_LEFT,
+                             gr._REMOVE_LEFT]).reshape(4 * 4, NBLADES * NBLADES)
+    sigma = abs(g.det) ** 0.125
+    for a in [tr.random_lorentz(rng, g) for _ in range(3)] + [random_reflection(rng, g)]:
+        tr.spin_lift(a, b)
+        weight = np.concatenate((sigma * np.eye(4), g.g / sigma, -sigma * a.T,
+                                 -a.T @ g.g / sigma), axis=1)
+        full = svd((weight @ tables).reshape(4 * NBLADES, NBLADES), compute_uv=False)
+        blocks = svd(inputs[-1], compute_uv=False)
+        assert np.abs(np.sort(blocks, axis=None)[::-1] - full).max() <= 1e-14 * full[0]
 
 
 def test_lift_works_for_non_minkowski_metric(rng):
