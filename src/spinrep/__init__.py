@@ -29,7 +29,6 @@ from .errors import (
 from .grassmann import (
     GrassmannElement,
     Metric,
-    Orientation,
     delta,
     delta_star,
     gamma_op,
@@ -71,7 +70,6 @@ __all__ = [
     "GrassmannElement",
     "GammaBasis",
     "Metric",
-    "Orientation",
     "PlaneWave",
     "SpinElement",
     "SpinrepError",

@@ -192,7 +192,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
                 print(line)
         return 0
     svals = tr.conjugation_singular_values(a, basis)
-    verdict = "null space trivial" if svals[-1] > 1e-6 else "null space unexpectedly nontrivial"
+    verdict = ("null space trivial" if svals[-1] > tr.NO_LIFT_SEPARATION
+               else "null space unexpectedly nontrivial")
     if args.json:
         payload = {
             "schema": "spinrep-lift/1",

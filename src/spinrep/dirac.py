@@ -17,7 +17,11 @@ import numpy as np
 from .clifford import CliffordElement
 from .grassmann import Metric, _gamma_ops_cached
 from .isomorphisms import GammaBasis
-from .transforms import DEFAULT_ISOMETRY_TOL, spin_lift
+from .transforms import spin_lift
+
+# an eigenvalue of the symbol counts as the mass m within this, relative to
+# the symbol's scale
+_CLUSTER_TOL = 1e-9
 
 
 def symbol_matrix(lam: np.ndarray, basis: GammaBasis) -> np.ndarray:
@@ -41,9 +45,9 @@ def hodge_dirac_symbol(lam: np.ndarray, g: Metric) -> np.ndarray:
     return np.einsum("m,mkl->kl", lam, _gamma_ops_cached(g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWave:
-    """Constant amplitude N, exponent covector lambda and mass m."""
+    """Constant amplitude N, exponent covector lambda and mass m; compares by identity."""
 
     amplitude: np.ndarray
     exponent: np.ndarray
@@ -68,13 +72,13 @@ class PlaneWave:
         return float(np.abs(s @ self.amplitude - self.mass * self.amplitude).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWaveSolutions:
     """Solution space of symbol(lambda) N = m N for fixed lambda and m.
 
     ``column_basis`` spans the eigenspace the columns may occupy; the matrix
     solution space is that eigenspace tensored with arbitrary rows, of complex
-    dimension 4 * column_dimension.
+    dimension 4 * column_dimension.  Compares by identity.
     """
 
     exponent: np.ndarray
@@ -100,43 +104,33 @@ class PlaneWaveSolutions:
         return out
 
 
-def plane_wave_solutions(
-    lam: np.ndarray,
-    m: complex,
-    basis: GammaBasis,
-    cluster_tol: float = 1e-9,
-) -> PlaneWaveSolutions:
+def plane_wave_solutions(lam: np.ndarray, m: complex, basis: GammaBasis) -> PlaneWaveSolutions:
     """Basis of the plane-wave solution space (empty basis is a valid result).
 
     Generic masses use the eigendecomposition of the symbol, clustering
-    eigenvalues within ``cluster_tol`` of m.  The massless lightlike case has
-    a nilpotent symbol and is resolved through its numerical null space
-    instead.
+    eigenvalues within 1e-9 of m, relative to the symbol's scale.  The
+    massless lightlike case has a nilpotent symbol and is resolved through
+    its numerical null space instead.
     """
     lam = np.asarray(lam, dtype=np.complex128)
     m = complex(m)
     s = symbol_matrix(lam, basis)
     scale = max(1.0, float(np.abs(s).max()), abs(m))
-    if abs(m) <= cluster_tol * scale:
+    if abs(m) <= _CLUSTER_TOL * scale:
         # null space of the (possibly nilpotent) symbol via SVD
         u, sv, vh = np.linalg.svd(s)
-        rank = int(np.count_nonzero(sv > cluster_tol * scale))
+        rank = int(np.count_nonzero(sv > _CLUSTER_TOL * scale))
         cols = vh[rank:].conj().T
         return PlaneWaveSolutions(lam, m, cols)
     evals, evecs = np.linalg.eig(s)
-    sel = np.abs(evals - m) < cluster_tol * scale
+    sel = np.abs(evals - m) < _CLUSTER_TOL * scale
     if not np.any(sel):
         return PlaneWaveSolutions(lam, m, np.zeros((4, 0), dtype=np.complex128))
     q, _ = np.linalg.qr(evecs[:, sel])
     return PlaneWaveSolutions(lam, m, q)
 
 
-def covariance_residual(
-    a: np.ndarray,
-    wave: PlaneWave,
-    basis: GammaBasis,
-    isometry_tol: float = DEFAULT_ISOMETRY_TOL,
-) -> float:
+def covariance_residual(a: np.ndarray, wave: PlaneWave, basis: GammaBasis) -> float:
     """Residual in the Dirac equation of the wave pushed along an isometry.
 
     The amplitude is conjugated by the lift and the exponent transforms with
@@ -145,6 +139,6 @@ def covariance_residual(
     metric; raises :class:`NotIsometry` otherwise.
     """
     a = np.asarray(a, dtype=np.float64)
-    sigma = spin_lift(a, basis, isometry_tol)
+    sigma = spin_lift(a, basis)
     amplitude = sigma.matrix @ wave.amplitude @ sigma.inverse_matrix
     return PlaneWave(amplitude, a @ wave.exponent, wave.mass).residual(basis)

@@ -80,8 +80,8 @@ class Report:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def summary_lines(self) -> list[str]:
         lines = []

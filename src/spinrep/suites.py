@@ -191,6 +191,12 @@ def _hodge_rank_deficit(ctx, rng, n):
     yield NBLADES - np.linalg.matrix_rank(gr.hodge_matrix(ctx.metric))
 
 
+def _double_star_sign(ctx, rng, n):
+    # on grade k the double star is (-1)^(k(4-k)) sign(det g) times the identity
+    h = gr.hodge_matrix(ctx.metric)
+    yield _maxabs(h @ h - np.diag((-1.0) ** (GRADE * (4 - GRADE)) * np.sign(ctx.metric.det)))
+
+
 def _double_star_detail(ctx):
     scalars = gr.star_star_scalars(ctx.metric)
     return "double star per grade: " + ", ".join(f"{s:+.6g}" for s in scalars)
@@ -475,10 +481,10 @@ def _even_element_grade_leak(ctx, rng, n):
 # dirac
 
 
-def _null_space_dimension(m: np.ndarray, rel_tol: float = 1e-8) -> int:
+def _null_space_dimension(m: np.ndarray) -> int:
     svals = np.linalg.svd(m, compute_uv=False)
     scale = max(float(svals[0]), 1.0)
-    return int(np.count_nonzero(svals <= rel_tol * scale))
+    return int(np.count_nonzero(svals <= 1e-8 * scale))
 
 
 def _random_massive_exponent(rng, g: gr.Metric, m: complex) -> np.ndarray:
@@ -629,6 +635,7 @@ CHECKS = (
           detail="raising/lowering exact on homogeneous input"),
     Check("grassmann", "hodge_bijection", None, None, None, _hodge_rank_deficit,
           detail=_double_star_detail),
+    Check("grassmann", "double_star_is_per_grade_sign", None, None, 1e-10, _double_star_sign),
     Check("grassmann", "contraction_vs_vee_stable", "grassmann.vee", 50, 1e-10,
           _contraction_vs_vee, detail=_ratio_detail),
     Check("grassmann", "left_right_commutation", "grassmann.left_right", None, 1e-12,
@@ -651,8 +658,8 @@ CHECKS = (
           1e-10, _proposition_isometry, detail="all 16 basis blades per map", inputs="A"),
     Check("proposition", "non_isometry_still_homomorphism", "proposition.noniso", 30, 1e-10,
           _proposition_non_isometry),
-    Check("proposition", "non_isometry_has_no_lift", "proposition.nolift", 30, 1e-6,
-          _no_lift_for_non_isometry, inputs="A", at_least=True),
+    Check("proposition", "non_isometry_has_no_lift", "proposition.nolift", 30,
+          tr.NO_LIFT_SEPARATION, _no_lift_for_non_isometry, inputs="A", at_least=True),
     Check("proposition", "conjugation_preserves_grades_only_for_lifts", "proposition.grades",
           None, 1e-11, _lift_grade_leak, inputs="A"),
     Check("proposition", "generic_even_element_mixes_grades", None, None, 1e-11,
@@ -664,8 +671,8 @@ CHECKS = (
           _spin_lift, inputs="A"),
     Check("transforms", "lift_projective_homomorphism", "transforms.projective", 30, 1e-10,
           _lift_projective, detail="conjugations compared, not the elements"),
-    Check("transforms", "no_lift_for_non_isometries", "transforms.nolift", 30, 1e-6,
-          _no_lift_for_non_isometry, inputs="A", at_least=True),
+    Check("transforms", "no_lift_for_non_isometries", "transforms.nolift", 30,
+          tr.NO_LIFT_SEPARATION, _no_lift_for_non_isometry, inputs="A", at_least=True),
     Check("transforms", "pushforward_blocks_and_functoriality", "transforms.pushforward", 30,
           1e-10, _pushforward, detail="minor-determinant oracle"),
     Check("transforms", "gl4_action_invertible", "transforms.gl4inv", 20, 1e-10,

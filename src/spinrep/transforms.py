@@ -35,6 +35,9 @@ _EYE4 = np.eye(DIM)
 DEFAULT_ISOMETRY_TOL = 1e-10
 LIFT_ACCEPT = 1e-8  # largest normalized singular value accepted as null
 LIFT_GAP = 1e-4  # the next singular value must exceed this
+# a map has no lift when the smallest normalized singular value of its
+# conjugation system exceeds this
+NO_LIFT_SEPARATION = 1e-6
 
 
 def isometry_defect(a: np.ndarray, g: Metric) -> float:
@@ -91,7 +94,7 @@ def conjugation_singular_values(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
     return s / s[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinElement:
     """Invertible algebra element conjugating the generators along an isometry.
 
@@ -99,7 +102,8 @@ class SpinElement:
     ``"odd"`` for orientation-reversing ones, and the element has no
     coefficient of the other parity.  The matrix image is normalized to unit
     determinant with a deterministic phase branch; ``inverse_matrix`` is its
-    inverse, computed once by :func:`spin_lift`.
+    inverse, computed once by :func:`spin_lift`.  Lifts compare and hash by
+    identity.
     """
 
     element: CliffordElement
@@ -269,20 +273,18 @@ def spinor_factorization(a: np.ndarray, basis: GammaBasis) -> tuple[float, np.nd
     return float(s[1] / s[0]), u[:, 0].reshape(4, 4)
 
 
-def random_lorentz(
-    rng: np.random.Generator, g: Metric, max_rapidity: float = 3.0
-) -> np.ndarray:
+def random_lorentz(rng: np.random.Generator, g: Metric) -> np.ndarray:
     """Random isometry of ``g`` in the identity component of its isometry group.
 
     Exponential of a random generator X with g X antisymmetric, rescaled so
-    the generator norm stays at or below ``max_rapidity``.
+    the generator's spectral norm stays at or below 3.
     """
     k = rng.normal(size=(4, 4))
     k = k - k.T
     x = np.linalg.solve(g.g, k)
     norm = np.linalg.norm(x, 2)
-    if norm > max_rapidity:
-        x *= max_rapidity / norm
+    if norm > 3.0:
+        x *= 3.0 / norm
     return _expm(x)
 
 
@@ -313,15 +315,12 @@ def _expm(x: np.ndarray) -> np.ndarray:
 
 
 def random_invertible_non_isometry(
-    rng: np.random.Generator,
-    g: Metric,
-    min_defect: float = 1e-2,
-    min_det: float = 1e-2,
+    rng: np.random.Generator, g: Metric, min_defect: float = 1e-2
 ) -> np.ndarray:
-    """Random invertible map that is clearly not an isometry of ``g``."""
+    """Random map with |det A| above 1e-2 and an isometry defect above ``min_defect``."""
     while True:
         a = rng.normal(size=(4, 4))
-        if abs(np.linalg.det(a)) > min_det and isometry_defect(a, g) > min_defect:
+        if abs(np.linalg.det(a)) > 1e-2 and isometry_defect(a, g) > min_defect:
             return a
 
 

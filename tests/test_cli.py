@@ -26,6 +26,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def loads_strict(text):
+    """Parse JSON, rejecting the non-standard constants NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_python(*args):
     """Run ``python *args`` in a fresh process that imports spinrep from src/."""
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -196,11 +204,7 @@ def test_verify_non_finite_residual_fails(capsys):
     spec = ",".join(str(v) for v in (1e77 * np.diag([1.0, -1.0, -1.0, -1.0])).flatten())
     code, out, _ = run_cli(capsys, "verify", "--suite", "clifford", f"--metric={spec}", "--json")
     assert code == 1
-
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    by_name = {c["name"]: c for c in json.loads(out, parse_constant=reject)["checks"]}
+    by_name = {c["name"]: c for c in loads_strict(out)["checks"]}
     check = by_name["reversion_antiautomorphism"]
     assert (check["status"], check["residual"]) == ("fail", None)
     assert "non-finite residual" in check["detail"]
@@ -212,6 +216,25 @@ def test_verify_metric_with_leading_minus(capsys):
                            "--metric=-1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1")
     assert code == 0
     assert "==> all checks passed" in out
+
+
+# Lorentz F^T eta F with condition number 720: its double star is off the
+# per-grade signs by 1.55e-10, beyond the absolute tolerance 1e-10
+ILL_CONDITIONED = ("-19.055,-12.816,8.359,9.74,-12.816,-8.559,5.583,6.559,"
+                   "8.359,5.583,-3.744,-4.299,9.74,6.559,-4.299,-5.051")
+
+
+def test_double_star_off_its_signs_is_a_failed_check_not_a_traceback(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "grassmann", "--json",
+                             f"--metric={ILL_CONDITIONED}")
+    assert (code, err) == (1, "")
+    by_name = {c["name"]: c for c in loads_strict(out)["checks"]}
+    check = by_name["double_star_is_per_grade_sign"]
+    assert (check["status"], check["detail"]) == ("fail", "tol 1e-10")
+    assert 1.5e-10 < check["residual"] < 1.6e-10
+    code, out, err = run_cli(capsys, "table", "hodge", f"--metric={ILL_CONDITIONED}")
+    assert (code, err) == (0, "")
+    assert "double star per grade" in out
 
 
 def _shear_metric():

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinrep import clifford as cl
+from spinrep import dirac as dr
 from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
 from spinrep import transforms as tr
@@ -169,6 +170,23 @@ def test_lift_deterministic_branch(mink, basis, rng):
     a = tr.random_lorentz(rng, mink)
     s1, s2 = tr.spin_lift(a, basis), tr.spin_lift(a, basis)
     np.testing.assert_array_equal(s1.matrix, s2.matrix)
+
+
+def test_values_holding_arrays_compare_by_identity(mink, basis, rng):
+    # equal values from two calls are still two objects; comparing arrays
+    # field by field would raise, and arrays have no hash
+    a = tr.random_lorentz(rng, mink)
+    lam = np.array([1.0, 0.2, 0.0, 0.0])
+    pairs = [
+        (tr.spin_lift(a, basis), tr.spin_lift(a, basis)),
+        (gr.GrassmannElement.blade(3), gr.GrassmannElement.blade(3)),
+        (cl.CliffordElement.generator(1), cl.CliffordElement.generator(1)),
+        (dr.PlaneWave(np.eye(4), lam, 1.0), dr.PlaneWave(np.eye(4), lam, 1.0)),
+        (dr.plane_wave_solutions(lam, 1.0, basis), dr.plane_wave_solutions(lam, 1.0, basis)),
+    ]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y}) == 2
 
 
 def test_no_lift_for_random_non_isometries(mink, basis, rng):
