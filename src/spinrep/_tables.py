@@ -60,23 +60,11 @@ for _a in range(NBLADES):
         if _s:
             WEDGE_TENSOR[_a, _b, _a | _b] = _s
 
-# sign picked up when generator i enters blade b from the left or the right
-# (e_i ^ e_b or e_b ^ e_i), and when it leaves b from the left or the right,
-# which is the insertion sign read at b ^ bit(i); each is 0 where the move
-# does not apply
-_GEN = (1 << np.arange(DIM))[:, None]
-_ALL = np.arange(NBLADES)
-INSERT_LEFT_SIGN = WEDGE_SIGN[_GEN, _ALL]
-INSERT_RIGHT_SIGN = WEDGE_SIGN[_ALL, _GEN]
-REMOVE_LEFT_SIGN = WEDGE_SIGN[_GEN, _ALL ^ _GEN]
-REMOVE_RIGHT_SIGN = WEDGE_SIGN[_ALL ^ _GEN, _GEN]
-
-# grade involution signs used by reversion/parity maps
+# reversion sign of each blade, (-1)^(k(k-1)/2) at grade k
 REVERSION_SIGN = np.array(
     [(-1) ** (int(GRADE[b]) * (int(GRADE[b]) - 1) // 2) for b in range(NBLADES)],
     dtype=np.int8,
 )
-PARITY_SIGN = np.array([(-1) ** int(GRADE[b]) for b in range(NBLADES)], dtype=np.int8)
 
 
 def blade_label(mask: int, symbol: str = "d", unit: str = "1", sep: str = "") -> str:

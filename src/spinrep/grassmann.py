@@ -23,13 +23,10 @@ from ._tables import (
     BLADES_BY_GRADE,
     DIM,
     GRADE,
-    INSERT_LEFT_SIGN,
-    INSERT_RIGHT_SIGN,
     NBLADES,
-    REMOVE_LEFT_SIGN,
-    REMOVE_RIGHT_SIGN,
     TOP,
     WEDGE_SIGN,
+    WEDGE_TENSOR,
     blade_label,
 )
 from .errors import DegenerateMetric
@@ -198,23 +195,20 @@ def wedge(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
 # ---------------------------------------------------------------------------
 # boundary / coboundary operators as 16x16 matrices on coefficient vectors
 
-def _move_stack(table: np.ndarray) -> np.ndarray:
-    """(4, 16, 16) stack: slice i moves generator i into or out of each blade.
-
-    ``table[i, b]`` is the sign of that move on blade b, which lands on blade
-    b ^ bit(i); the table is zero where the move does not apply.
-    """
-    stack = np.zeros((DIM, NBLADES, NBLADES))
-    cols = np.arange(NBLADES)
-    stack[np.arange(DIM)[:, None], cols ^ (1 << np.arange(DIM))[:, None], cols] = table
+def _frozen(stack: np.ndarray) -> np.ndarray:
+    stack = np.ascontiguousarray(stack)
     stack.flags.writeable = False
     return stack
 
 
-_INSERT_LEFT = _move_stack(INSERT_LEFT_SIGN)
-_REMOVE_LEFT = _move_stack(REMOVE_LEFT_SIGN)
-_INSERT_RIGHT = _move_stack(INSERT_RIGHT_SIGN)
-_REMOVE_RIGHT = _move_stack(REMOVE_RIGHT_SIGN)
+# (4, 16, 16) stacks: slice i moves generator i into or out of each blade,
+# [out blade, in blade].  Inserting from the left is the wedge e_i ^ e_b and
+# from the right e_b ^ e_i; each removal is the transpose of its insertion
+_GENS = 1 << np.arange(DIM)
+_INSERT_LEFT = _frozen(WEDGE_TENSOR[_GENS].transpose(0, 2, 1))
+_INSERT_RIGHT = _frozen(WEDGE_TENSOR[:, _GENS].transpose(1, 2, 0))
+_REMOVE_LEFT = _frozen(_INSERT_LEFT.transpose(0, 2, 1))
+_REMOVE_RIGHT = _frozen(_INSERT_RIGHT.transpose(0, 2, 1))
 
 
 def _contract(w: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -100,10 +100,10 @@ class SpinElement:
 
     ``parity`` is ``"even"`` for orientation-preserving isometries and
     ``"odd"`` for orientation-reversing ones, and the element has no
-    coefficient of the other parity.  The matrix image is normalized to unit
-    determinant with a deterministic phase branch; ``inverse_matrix`` is its
-    inverse, computed once by :func:`spin_lift`.  Lifts compare and hash by
-    identity.
+    coefficient of the other parity.  The coefficients are real, scaled so
+    that the matrix image has unit determinant and the largest-magnitude
+    coefficient is positive; ``inverse_matrix`` is the matrix's inverse,
+    computed once by :func:`spin_lift`.  Lifts compare and hash by identity.
     """
 
     element: CliffordElement
@@ -117,28 +117,6 @@ class SpinElement:
             m = np.array(getattr(self, name), dtype=np.complex128)
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-
-
-def _normalize_phase(coeffs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale coefficients and matrix to unit determinant, then pick the i^k
-    branch deterministically.
-
-    Among the four unit-determinant rescalings the one making the
-    largest-magnitude blade coefficient have the largest real part (ties by
-    imaginary part, then the lowest k) is chosen.
-    """
-    scale = np.linalg.det(m) ** -0.25
-    ref = complex(coeffs[int(np.argmax(np.abs(coeffs)))] * scale)
-    branch = 0
-    best = None
-    for k in range(4):
-        v = ref * 1j**k
-        score = (round(v.real, 12), round(v.imag, 12))
-        if best is None or score > best:
-            best = score
-            branch = k
-    scale = scale * 1j**branch
-    return coeffs * scale, m * scale
 
 
 # S gamma_mu - gamma'_mu S on blade coefficients is right multiplication by
@@ -172,14 +150,16 @@ def spin_lift(
     decomposition gives both; the 16 singular values, divided by the largest,
     must have an isolated null (smallest below 1e-8, next one above 1e-4),
     and the null vector comes from the block holding the smallest, which
-    names the parity.  Raises :class:`NotIsometry` when A^T g A differs from
-    g beyond tolerance and :class:`LiftNotFound` when the system has no
-    usable null vector.
+    names the parity.  The coefficients are real, scaled by one real factor
+    so that the matrix has unit determinant and the largest-magnitude
+    coefficient is positive.  Raises :class:`NotIsometry` when A^T g A
+    differs from g beyond tolerance or is not finite, and
+    :class:`LiftNotFound` when the system has no usable null vector.
     """
     a = np.asarray(a, dtype=np.float64)
     g = basis.metric
     defect = isometry_defect(a, g)
-    if defect >= isometry_tol:
+    if not defect < isometry_tol:  # a NaN defect fails too
         raise NotIsometry(f"A^T g A - g has max entry {defect:.3e} >= {isometry_tol:.3e}")
     # conjugating by diag(sigma^GRADE) scales insertions by sigma and removals
     # by 1/sigma; the null vector comes back divided by sigma^GRADE
@@ -189,11 +169,8 @@ def spin_lift(
     # (mu, block, row, column) -> per block, 32 equations (mu, row) on 8 coefficients
     blocks = (weight @ _CONJUGATION_STACK).reshape(DIM, 2, 8, 8)
     _, s, vh = np.linalg.svd(blocks.transpose(1, 0, 2, 3).reshape(2, 32, 8), full_matrices=False)
-    largest = s[:, 0].max()
-    if largest == 0:
-        raise LiftNotFound("conjugation system vanished entirely")
-    smallest, next_smallest = np.sort(s, axis=None)[:2] / largest
-    if smallest > LIFT_ACCEPT or next_smallest < LIFT_GAP:
+    smallest, next_smallest = np.sort(s, axis=None)[:2] / s[:, 0].max()
+    if not (smallest <= LIFT_ACCEPT and next_smallest >= LIFT_GAP):
         raise LiftNotFound(
             f"no isolated null vector: normalized singular values "
             f"{smallest:.3e}, {next_smallest:.3e}"
@@ -202,7 +179,14 @@ def spin_lift(
     coeffs = np.zeros(NBLADES)
     coeffs[(_EVEN, _ODD)[odd]] = vh[odd, -1]
     coeffs /= sigma**GRADE
-    coeffs, m = _normalize_phase(coeffs, clifford_to_matrix(CliffordElement(coeffs), basis))
+    m = clifford_to_matrix(CliffordElement(coeffs), basis)
+    # the lift is a real multiple c of a product of unit vectors, each of
+    # determinant 1, so det m = c^4 > 0: one real factor gives unit
+    # determinant, and its sign makes the largest coefficient positive.  det m
+    # is complex up to rounding; the modulus of its complex root equals that
+    # root's real part to the last bit, which the root of its modulus need not
+    scale = np.copysign(abs(np.linalg.det(m) ** -0.25), coeffs[np.argmax(np.abs(coeffs))])
+    coeffs, m = coeffs * scale, m * scale
     inverse = np.linalg.inv(m)
     residual = float(np.abs(m @ basis.gammas @ inverse - _substituted(a, basis)).max())
     return SpinElement(CliffordElement(coeffs), m, ("even", "odd")[odd], residual, inverse)

@@ -33,6 +33,23 @@ def random_element_coeffs(rng):
     return rng.normal(size=16) + 1j * rng.normal(size=16)
 
 
+def move_sign_table(side, remove):
+    """(4, 16) signs of generator i entering (or, with ``remove``, leaving)
+    blade b from ``side``, "left" or "right", by position counting.
+
+    The sign is the parity of b's factors below i from the left and of those
+    above i from the right; it is 0 where the move does not apply, where b
+    already holds i for an insertion or lacks it for a removal.
+    """
+    table = np.zeros((4, 16), dtype=np.int8)
+    for i in range(4):
+        for b in range(16):
+            if bool(b >> i & 1) == remove:
+                passed = b & ((1 << i) - 1) if side == "left" else b >> (i + 1)
+                table[i, b] = -1 if bin(passed).count("1") & 1 else 1
+    return table
+
+
 # the non-diagonal Lorentz metric of the golden reports
 NON_DIAGONAL = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, -1.0, 0.0, 0.0],
                          [0.0, 0.0, -1.0, 0.2], [0.0, 0.0, 0.2, -1.0]])

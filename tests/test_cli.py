@@ -182,7 +182,7 @@ def test_verify_samples_override(capsys):
     for samples in ("1", "7"):
         code, out, _ = run_cli(capsys, "verify", "--suite", "dirac", "--samples", samples)
         assert code == 0
-        assert "PASS  dirac.isometry_covariance  residual=2.969e-14  n=5  " in out
+        assert "PASS  dirac.isometry_covariance  residual=2.985e-14  n=5  " in out
 
 
 def test_verify_small_metric_skips_degenerate_pullbacks(capsys):
@@ -305,6 +305,15 @@ def test_lift_non_isometry_verdict(capsys):
     assert code == 0
     assert "not an isometry" in out
     assert "null space trivial" in out
+
+
+def test_lift_without_an_isolated_null_vector_exits_2(capsys):
+    # 2 I passes --tol 100 as an isometry, but its conjugation system has no null vector
+    code, out, err = run_cli(capsys, "lift", "--tol", "100", "--",
+                             "2,0,0,0,0,2,0,0,0,0,2,0,0,0,0,2")
+    assert (code, out) == (2, "")
+    assert err == ("error: LiftNotFound: no isolated null vector: "
+                   "normalized singular values 3.333e-01, 5.774e-01\n")
 
 
 def test_lift_matrix_from_file(capsys, tmp_path):

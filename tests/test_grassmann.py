@@ -11,17 +11,18 @@ from spinrep import grassmann as gr
 from spinrep._tables import (
     BLADE_BITS,
     GRADE,
-    INSERT_LEFT_SIGN,
-    INSERT_RIGHT_SIGN,
     NBLADES,
-    REMOVE_LEFT_SIGN,
-    REMOVE_RIGHT_SIGN,
     TOP,
     WEDGE_SIGN,
 )
 from spinrep.errors import DegenerateMetric
 
-from conftest import preset_metrics, random_element_coeffs, random_symmetric_metric
+from conftest import (
+    move_sign_table,
+    preset_metrics,
+    random_element_coeffs,
+    random_symmetric_metric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +293,9 @@ def test_closed_form_operators_equal_loop_oracle(rng):
     metrics = [gr.minkowski(), gr.minkowski("-+++")]
     metrics += [random_symmetric_metric(rng) for _ in range(200)]
     sides = ((gr._gamma_ops_cached, gr.delta_matrix, gr.delta_star_matrix,
-              INSERT_LEFT_SIGN, REMOVE_LEFT_SIGN),
+              move_sign_table("left", False), move_sign_table("left", True)),
              (gr._right_gamma_ops_cached, gr.right_delta_matrix, gr.right_delta_star_matrix,
-              INSERT_RIGHT_SIGN, REMOVE_RIGHT_SIGN))
+              move_sign_table("right", False), move_sign_table("right", True)))
     for g in metrics:
         v = random_element_coeffs(rng)[:4]
         for cached, raise_op, lower_op, insert, remove in sides:

@@ -4,10 +4,9 @@ import pytest
 from spinrep import _kernels
 from spinrep import clifford as cl
 from spinrep import grassmann as gr
-from spinrep import _tables
 from spinrep._tables import BLADE_BITS, NBLADES, WEDGE_SIGN
 
-from conftest import preset_metrics, random_element_coeffs, random_symmetric_metric
+from conftest import move_sign_table, preset_metrics, random_element_coeffs, random_symmetric_metric
 
 
 def test_backend_selected():
@@ -82,20 +81,17 @@ def test_compound16_rejects_other_shapes():
 
 
 def test_insert_remove_signs_match_position_counting():
-    # the sign of generator i entering or leaving blade b from the left is the
-    # parity of b's factors below i; from the right, of those above i
-    def parity(n):
-        return -1 if n & 1 else 1
-
-    expected = {name: np.zeros((4, NBLADES), dtype=np.int8) for name in
-                ("INSERT_LEFT_SIGN", "REMOVE_LEFT_SIGN", "INSERT_RIGHT_SIGN", "REMOVE_RIGHT_SIGN")}
-    for i in range(4):
-        for b in range(NBLADES):
-            lo = bin(b & ((1 << i) - 1)).count("1")
-            hi = bin(b >> (i + 1)).count("1")
-            side = "REMOVE" if b >> i & 1 else "INSERT"
-            expected[f"{side}_LEFT_SIGN"][i, b] = parity(lo)
-            expected[f"{side}_RIGHT_SIGN"][i, b] = parity(hi)
-    for name, table in expected.items():
-        np.testing.assert_array_equal(getattr(_tables, name), table, err_msg=name)
-        assert getattr(_tables, name).dtype == np.int8
+    # slice i of each move stack carries blade b to b ^ bit(i) with the
+    # position-counting sign of that move
+    cols = np.arange(NBLADES)
+    for name, side, remove in (("_INSERT_LEFT", "left", False), ("_REMOVE_LEFT", "left", True),
+                               ("_INSERT_RIGHT", "right", False), ("_REMOVE_RIGHT", "right", True)):
+        table = move_sign_table(side, remove)
+        expected = np.zeros((4, NBLADES, NBLADES))
+        for i in range(4):
+            expected[i, cols ^ (1 << i), cols] = table[i]
+        stack = getattr(gr, name)
+        np.testing.assert_array_equal(stack, expected, err_msg=name)
+        assert stack.dtype == np.float64
+        # contiguous, so _gamma_ops' reshape of a removal stack is a view
+        assert stack.flags.c_contiguous and not stack.flags.writeable, name

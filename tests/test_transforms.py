@@ -8,7 +8,7 @@ from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
 from spinrep import transforms as tr
 from spinrep._tables import BLADE_BITS, GRADE, NBLADES
-from spinrep.errors import NotIsometry
+from spinrep.errors import LiftNotFound, NotIsometry
 
 from conftest import random_symmetric_metric
 
@@ -134,6 +134,26 @@ def test_lift_rejects_non_isometry(basis):
         tr.spin_lift(np.diag([1.0, 2.0, 1.0, 1.0]), basis)
 
 
+@pytest.mark.parametrize("a", [np.full((4, 4), np.nan), np.diag([np.inf, 1.0, 1.0, 1.0])],
+                         ids=["nan", "inf"])
+def test_non_finite_map_is_not_an_isometry(a, basis):
+    # the defect is NaN, which no comparison with the tolerance lets through
+    wave = dr.PlaneWave(np.eye(4), np.array([1.0, 0.2, 0.0, 0.0]), 1.0)
+    calls = (lambda: tr.spin_lift(a, basis),
+             lambda: tr.transport_residual(a, basis, basis.gammas),
+             lambda: dr.covariance_residual(a, wave, basis))
+    with np.errstate(invalid="ignore"):
+        for call in calls:
+            with pytest.raises(NotIsometry, match="nan"):
+                call()
+
+
+def test_lift_without_an_isolated_null_vector_raises(basis):
+    # 2 I passes a tolerance of 100, but no element conjugates g_mu into 2 g_mu
+    with pytest.raises(LiftNotFound, match="no isolated null vector"):
+        tr.spin_lift(2 * np.eye(4), basis, 100.0)
+
+
 def test_lift_discrete_maps(mink, basis):
     p = tr.spin_lift(tr.parity_matrix(), basis)
     assert p.parity == "odd" and p.residual < 1e-12
@@ -219,10 +239,14 @@ def test_conjugation_system_equals_kron_stack(basis, skew_basis, rng):
 
 def oracle_lift_matrix(a, basis):
     """The lift from the matrix-space route: the full-SVD null vector of the
-    complex conjugation system, at unit determinant on spin_lift's branch."""
+    complex conjugation system, turned so that its largest-magnitude blade
+    coefficient is positive, then scaled to unit determinant."""
     _, _, vh = np.linalg.svd(tr.conjugation_system(a, basis))
     m = vh[-1].conj().reshape(4, 4)
-    return tr._normalize_phase(iso.matrix_to_clifford(m, basis).coeffs, m)[1]
+    coeffs = iso.matrix_to_clifford(m, basis).coeffs
+    largest = coeffs[np.argmax(np.abs(coeffs))]
+    m = m * (abs(largest) / largest)
+    return m / np.linalg.det(m) ** 0.25
 
 
 def anisotropic_lorentz_metric():
@@ -250,10 +274,8 @@ def random_reflection(rng, g):
             return np.eye(4) - 2.0 * np.outer(v, g.g @ v) / norm
 
 
-@pytest.mark.parametrize("g", ORACLE_METRICS, ids=["eta", "non-diagonal", "3I", "split", "-I",
-                                                   "frame", "0.0015eta", "30eta"])
-def test_spin_lift_matches_matrix_space_oracle(g, rng):
-    b = iso.dirac_matrices(g)
+def oracle_maps(rng, g):
+    """Isometries of ``g`` of both parities: +-A, products, and g-reflections."""
     maps = [tr.random_lorentz(rng, g) * (-1 if i % 3 == 2 else 1) for i in range(9)]
     maps += [tr.random_lorentz(rng, g) @ tr.random_lorentz(rng, g) for _ in range(6)]
     # the odd block: reflections, alone and composed with isometries on either side
@@ -261,11 +283,31 @@ def test_spin_lift_matches_matrix_space_oracle(g, rng):
              tr.random_lorentz(rng, g) @ random_reflection(rng, g),
              -random_reflection(rng, g) @ tr.random_lorentz(rng, g),
              random_reflection(rng, g) @ random_reflection(rng, g) @ tr.random_lorentz(rng, g)]
-    for a in maps:
+    return maps
+
+
+ORACLE_IDS = ["eta", "non-diagonal", "3I", "split", "-I", "frame", "0.0015eta", "30eta"]
+
+
+@pytest.mark.parametrize("g", ORACLE_METRICS, ids=ORACLE_IDS)
+def test_spin_lift_matches_matrix_space_oracle(g, rng):
+    b = iso.dirac_matrices(g)
+    for a in oracle_maps(rng, g):
         expected = oracle_lift_matrix(a, b)
         lift = tr.spin_lift(a, b)
         assert np.abs(lift.matrix - expected).max() <= 1e-12 * np.abs(expected).max()
         assert lift.parity == ("even" if np.linalg.det(a) > 0 else "odd")
+
+
+@pytest.mark.parametrize("g", ORACLE_METRICS, ids=ORACLE_IDS)
+def test_spin_lift_is_real_with_unit_determinant(g, rng):
+    b = iso.dirac_matrices(g)
+    for a in oracle_maps(rng, g):
+        lift = tr.spin_lift(a, b)
+        coeffs = lift.element.coeffs
+        assert np.all(coeffs.imag == 0.0)
+        assert coeffs.real[np.argmax(np.abs(coeffs))] > 0
+        assert abs(np.linalg.det(lift.matrix) - 1.0) <= 1e-13
 
 
 def recorded_svd_inputs(monkeypatch):
