@@ -31,9 +31,24 @@ _GRADE1 = (_VECTORS[:, None] * NBLADES + _VECTORS).reshape(-1)
 _EXPANSIONS = [_expansion_tables(blades) for blades in BLADES_BY_GRADE[2:]]
 
 
+# the wedge tensor as one (256, 16) matrix, a view: row (i, j) holds e_i ^ e_j
+_WEDGE_MATRIX = WEDGE_TENSOR.reshape(NBLADES * NBLADES, NBLADES)
+
+
 def wedge16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wedge product of two dense 16-coefficient vectors."""
-    return np.einsum("i,j,ijk->k", a, b, WEDGE_TENSOR)
+    """Wedge product of dense 16-coefficient vectors; leading axes broadcast.
+
+    One product: the outer product of ``a`` and ``b``, flattened to 256
+    entries, against the (256, 16) wedge matrix.  A complex outer product is
+    read as real and imaginary columns, so the product stays real and the
+    matrix is never copied to complex.
+    """
+    outer = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    outer = outer.reshape(outer.shape[:-2] + (NBLADES * NBLADES,))
+    if not np.iscomplexobj(outer):
+        return outer @ _WEDGE_MATRIX
+    pairs = np.ascontiguousarray(outer, dtype=np.complex128).view(np.float64)
+    return (_WEDGE_MATRIX.T @ pairs.reshape(outer.shape + (2,))).view(np.complex128)[..., 0]
 
 
 def mul16(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -49,8 +64,9 @@ def mul16(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 
 def compound16(a: np.ndarray) -> np.ndarray:
-    """Exterior extension of a real 4x4 matrix: the 16x16 block-diagonal stack
-    of its compound matrices, entry [r, c] the minor of rows r, columns c.
+    """Exterior extension of a real 4x4 matrix, or of each of a (..., 4, 4)
+    stack: the 16x16 block-diagonal stack of its compound matrices, entry
+    [r, c] the minor of rows r, columns c.
 
     Built grade by grade, each minor expanded along its highest column: one
     gather of the lower minors and one of the matching entries of ``a``, one
@@ -59,16 +75,18 @@ def compound16(a: np.ndarray) -> np.ndarray:
     wedge of the columns adds them, so the two agree bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != (DIM, DIM):
+    if a.shape[-2:] != (DIM, DIM):
         raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    a = a.reshape(-1)
-    signed = np.concatenate((a, -a))
-    out = np.zeros(NBLADES * NBLADES)
+    # entries along the first axis and any maps along the last, so that the
+    # gathers index the first axis whether there is one map or a stack
+    flat = a.reshape(-1, DIM * DIM).T if a.ndim > 2 else a.reshape(DIM * DIM)
+    signed = np.concatenate((flat, -flat))
+    out = np.zeros((NBLADES * NBLADES,) + flat.shape[1:])
     out[0] = 1.0
-    out[_GRADE1] = a
+    out[_GRADE1] = flat
     for minors, entries, block in _EXPANSIONS:
-        out[block] = np.add.reduce(out.take(minors) * signed.take(entries))
-    return out.reshape(NBLADES, NBLADES)
+        out[block] = np.add.reduce(out.take(minors, 0) * signed.take(entries, 0))
+    return out.T.reshape(a.shape[:-2] + (NBLADES, NBLADES))
 
 
 def backend_name() -> str:

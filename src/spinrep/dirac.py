@@ -17,7 +17,7 @@ import numpy as np
 from .clifford import CliffordElement
 from .grassmann import Metric, _gamma_ops_cached
 from .isomorphisms import GammaBasis
-from .transforms import spin_lift
+from .transforms import _lift_stack
 
 # an eigenvalue of the symbol counts as the mass m within this, relative to
 # the symbol's scale
@@ -25,9 +25,12 @@ _CLUSTER_TOL = 1e-9
 
 
 def symbol_matrix(lam: np.ndarray, basis: GammaBasis) -> np.ndarray:
-    """The 4x4 symbol sum_mu lambda_mu gamma_mu; squares to g(lambda, lambda) Id."""
+    """The 4x4 symbol sum_mu lambda_mu gamma_mu; squares to g(lambda, lambda) Id.
+
+    A (..., 4) stack of covectors gives a stack of symbols.
+    """
     lam = np.asarray(lam, dtype=np.complex128)
-    return np.einsum("m,mij->ij", lam, basis.gammas)
+    return np.einsum("...m,mij->...ij", lam, basis.gammas)
 
 
 def symbol_element(lam: np.ndarray) -> CliffordElement:
@@ -130,15 +133,22 @@ def plane_wave_solutions(lam: np.ndarray, m: complex, basis: GammaBasis) -> Plan
     return PlaneWaveSolutions(lam, m, q)
 
 
-def covariance_residual(a: np.ndarray, wave: PlaneWave, basis: GammaBasis) -> float:
+def covariance_residual(a: np.ndarray, wave: PlaneWave, basis: GammaBasis) -> float | np.ndarray:
     """Residual in the Dirac equation of the wave pushed along an isometry.
 
     The amplitude is conjugated by the lift and the exponent transforms with
     the map itself (the companion of the generator substitution convention),
     so a true solution stays a true solution under any isometry of the
-    metric; raises :class:`NotIsometry` otherwise.
+    metric; raises :class:`NotIsometry` otherwise.  A (..., 4, 4) stack of
+    maps gives an array of residuals, NaN for a map with no lift.
     """
     a = np.asarray(a, dtype=np.float64)
-    sigma = spin_lift(a, basis)
-    amplitude = sigma.matrix @ wave.amplitude @ sigma.inverse_matrix
-    return PlaneWave(amplitude, a @ wave.exponent, wave.mass).residual(basis)
+    _, m, inverse, _, lift_residual = _lift_stack(a, basis)
+    failed = np.isnan(lift_residual)
+    a = np.where(failed[..., None, None], np.eye(4), a)  # a map with no lift may not be finite
+    amplitude = m @ wave.amplitude @ inverse
+    s = symbol_matrix(a @ wave.exponent, basis)
+    residual = np.abs(s @ amplitude - wave.mass * amplitude).max(axis=(-2, -1))
+    if residual.ndim == 0:
+        return float(residual)
+    return np.where(failed, np.nan, residual)

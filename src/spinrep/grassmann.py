@@ -212,11 +212,20 @@ _REMOVE_RIGHT = _frozen(_INSERT_RIGHT.transpose(0, 2, 1))
 
 
 def _contract(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ijk->jk", np.asarray(w, dtype=np.complex128), stack)
+    return np.einsum("...i,ijk->...jk", np.asarray(w, dtype=np.complex128), stack)
+
+
+def _lower(g: Metric, v: np.ndarray) -> np.ndarray:
+    """g v for a 4-vector or a (..., 4) stack of them."""
+    return (g.g @ np.asarray(v, dtype=np.complex128)[..., None])[..., 0]
 
 
 def delta_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix of left exterior multiplication by the vector ``v``."""
+    """Matrix of left exterior multiplication by the vector ``v``.
+
+    Here and in the three functions below, a (..., 4) stack of vectors gives
+    a stack of matrices.
+    """
     return _contract(v, _INSERT_LEFT)
 
 
@@ -227,7 +236,7 @@ def delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     omitted; the alternating sign starts positive so that the generator
     operators square to the metric.
     """
-    return _contract(g.g @ np.asarray(v, dtype=np.complex128), _REMOVE_LEFT)
+    return _contract(_lower(g, v), _REMOVE_LEFT)
 
 
 def right_delta_matrix(v: np.ndarray) -> np.ndarray:
@@ -237,7 +246,7 @@ def right_delta_matrix(v: np.ndarray) -> np.ndarray:
 
 def right_delta_star_matrix(v: np.ndarray, g: Metric) -> np.ndarray:
     """Matrix of the metric contraction by ``v`` acting from the right."""
-    return _contract(g.g @ np.asarray(v, dtype=np.complex128), _REMOVE_RIGHT)
+    return _contract(_lower(g, v), _REMOVE_RIGHT)
 
 
 def delta(v: np.ndarray, a: GrassmannElement) -> GrassmannElement:

@@ -132,13 +132,19 @@ def to_grassmann(a: CliffordElement) -> GrassmannElement:
     return GrassmannElement(a.coeffs)
 
 
-def left_rep(L: CliffordElement, g: Metric) -> np.ndarray:
+def _coeffs(a: CliffordElement | np.ndarray) -> np.ndarray:
+    """The coefficients of an element, or a (..., 16) coefficient stack as given."""
+    return a.coeffs if isinstance(a, CliffordElement) else np.asarray(a)
+
+
+def left_rep(L: CliffordElement | np.ndarray, g: Metric) -> np.ndarray:
     """Operator of left multiplication by ``L`` on the 16-dim coefficient space.
 
     The blade operators are the slices of the product tensor, built from the
-    generator operators; extended linearly, an algebra homomorphism.
+    generator operators; extended linearly, an algebra homomorphism.  ``L``
+    may be a (..., 16) stack of coefficients, giving a stack of operators.
     """
-    return np.einsum("i,ikl->kl", L.coeffs, product_tensor(g))
+    return np.einsum("...i,ikl->...kl", _coeffs(L), product_tensor(g))
 
 
 @lru_cache(maxsize=64)
@@ -151,9 +157,10 @@ def _right_blade_ops_cached(g: Metric) -> np.ndarray:
     return ops
 
 
-def right_rep(R: CliffordElement, g: Metric) -> np.ndarray:
-    """Operator matching right multiplication by ``R``; commutes with left_rep images."""
-    return np.einsum("i,ikl->kl", R.coeffs, _right_blade_ops_cached(g))
+def right_rep(R: CliffordElement | np.ndarray, g: Metric) -> np.ndarray:
+    """Operator matching right multiplication by ``R``; commutes with left_rep
+    images.  ``R`` may be a (..., 16) stack of coefficients."""
+    return np.einsum("...i,ikl->...kl", _coeffs(R), _right_blade_ops_cached(g))
 
 
 @lru_cache(maxsize=64)
@@ -171,23 +178,32 @@ def gamma_blade_matrices(basis: GammaBasis) -> np.ndarray:
     return _matrix_basis_cached(basis)[0]
 
 
-def clifford_to_matrix(a: CliffordElement, basis: GammaBasis) -> np.ndarray:
-    """Substitute the concrete matrices into the antisymmetrised blade basis."""
-    return np.einsum("i,ijk->jk", a.coeffs, gamma_blade_matrices(basis))
+def clifford_to_matrix(a: CliffordElement | np.ndarray, basis: GammaBasis) -> np.ndarray:
+    """Substitute the concrete matrices into the antisymmetrised blade basis.
+
+    ``a`` may be a (..., 16) stack of coefficients, giving a stack of matrices.
+    """
+    return np.einsum("...i,ijk->...jk", _coeffs(a), gamma_blade_matrices(basis))
+
+
+def _matrix_coeffs(m: np.ndarray, basis: GammaBasis) -> np.ndarray:
+    """Blade coefficients of a 4x4 matrix, or of each of a (..., 4, 4) stack."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
+    return (_matrix_basis_cached(basis)[1] @ m.reshape(m.shape[:-2] + (16, 1)))[..., 0]
 
 
 def matrix_to_clifford(m: np.ndarray, basis: GammaBasis) -> CliffordElement:
     """Decompose a 4x4 matrix over the 16 blade matrices."""
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
     if m.shape != (4, 4):
         raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-    coeffs = _matrix_basis_cached(basis)[1] @ m.reshape(16)
-    return CliffordElement(coeffs)
+    return CliffordElement(_matrix_coeffs(m, basis))
 
 
 def matrix_wedge(a: np.ndarray, b: np.ndarray, basis: GammaBasis) -> np.ndarray:
-    """Wedge product transported onto 4x4 matrices through the blade decomposition."""
-    ca = matrix_to_clifford(a, basis)
-    cb = matrix_to_clifford(b, basis)
-    cw = _kernels.wedge16(ca.coeffs, cb.coeffs)
-    return clifford_to_matrix(CliffordElement(cw), basis)
+    """Wedge product transported onto 4x4 matrices through the blade
+    decomposition; (..., 4, 4) stacks broadcast."""
+    cw = _kernels.wedge16(_matrix_coeffs(a, basis), _matrix_coeffs(b, basis))
+    return clifford_to_matrix(cw, basis)

@@ -40,10 +40,20 @@ LIFT_GAP = 1e-4  # the next singular value must exceed this
 NO_LIFT_SEPARATION = 1e-6
 
 
-def isometry_defect(a: np.ndarray, g: Metric) -> float:
-    """Largest entry of A^T g A - g."""
+def isometry_defect(a: np.ndarray, g: Metric) -> float | np.ndarray:
+    """Largest entry of A^T g A - g: a float for one map, an array for a
+    (..., 4, 4) stack.  Raises :class:`NotIsometry` when an entry of ``a`` is
+    not finite, since no comparison can judge that defect.
+    """
     a = np.asarray(a, dtype=np.float64)
-    return float(np.abs(a.T @ g.g @ a - g.g).max())
+    if not np.isfinite(a).all():
+        raise NotIsometry("map entries must be finite")
+    defect = _defects(a, g.g)
+    return float(defect) if defect.ndim == 0 else defect
+
+
+def _defects(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.abs(a.mT @ g @ a - g).max(axis=(-2, -1))
 
 
 def metric_pullback(a: np.ndarray, g: Metric) -> Metric:
@@ -72,26 +82,28 @@ def conjugation_system(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
 
     Complex and over the 16 matrix entries of Sigma, independent of the blade
     basis: the oracle for :func:`spin_lift`'s real route, and the diagnosis
-    of maps that have no lift.
+    of maps that have no lift.  A (..., 4, 4) stack of maps gives a
+    (..., 64, 16) stack of systems.
     """
     gp = _substituted(a, basis)
     # row-major vec: vec(X G) = (I (x) G^T) vec X, vec(G' X) = (G' (x) I) vec X,
     # each Kronecker product as one broadcast product over the four mu
     gt = basis.gammas.transpose(0, 2, 1)
     left = _EYE4[None, :, None, :, None] * gt[:, None, :, None, :]
-    right = gp[:, :, None, :, None] * _EYE4[None, None, :, None, :]
-    return (left - right).reshape(64, 16)
+    right = gp[..., :, :, None, :, None] * _EYE4[None, None, :, None, :]
+    return (left - right).reshape(gp.shape[:-3] + (64, 16))
 
 
 def _substituted(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
-    """The four images gamma'_mu = sum_nu A[nu, mu] gamma_nu."""
-    return np.einsum("nm,nij->mij", np.asarray(a, dtype=np.float64), basis.gammas)
+    """The four images gamma'_mu = sum_nu A[nu, mu] gamma_nu, per map of a stack."""
+    return np.einsum("...nm,nij->...mij", np.asarray(a, dtype=np.float64), basis.gammas)
 
 
 def conjugation_singular_values(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
-    """Normalized singular values (descending, divided by the largest)."""
+    """Normalized singular values (descending, divided by the largest), per
+    map of a (..., 4, 4) stack."""
     s = np.linalg.svd(conjugation_system(a, basis), compute_uv=False)
-    return s / s[0]
+    return s / s[..., :1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,44 +164,89 @@ def spin_lift(
     and the null vector comes from the block holding the smallest, which
     names the parity.  The coefficients are real, scaled by one real factor
     so that the matrix has unit determinant and the largest-magnitude
-    coefficient is positive.  Raises :class:`NotIsometry` when A^T g A
-    differs from g beyond tolerance or is not finite, and
+    coefficient is positive.  Raises :class:`NotIsometry` when an entry of
+    ``a`` is not finite or A^T g A differs from g beyond tolerance, and
     :class:`LiftNotFound` when the system has no usable null vector.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.shape != (DIM, DIM):
+        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
+    coeffs, m, inverse, odd, residual = _lift_stack(a, basis, isometry_tol)
+    return SpinElement(CliffordElement(coeffs), m, ("even", "odd")[int(odd)], float(residual), inverse)
+
+
+def _lift_stack(a: np.ndarray, basis: GammaBasis, isometry_tol: float = DEFAULT_ISOMETRY_TOL):
+    """The lifts of one map or of each of a (..., 4, 4) stack, as arrays.
+
+    Returns the real coefficients (..., 16), the matrices and their inverses
+    (..., 4, 4), whether each lift is odd, and each conjugation residual.
+    This is :func:`spin_lift` for every map at once.  One map raises as
+    :func:`spin_lift` does; in a stack a map that has no lift gets a NaN
+    residual and a placeholder lift, and the other maps are unaffected.
+    One map takes no stack axis and keeps its checks on scalars, which keeps
+    its cost near that of a lift written for one map.
+    """
     g = basis.metric
-    defect = isometry_defect(a, g)
-    if not defect < isometry_tol:  # a NaN defect fails too
-        raise NotIsometry(f"A^T g A - g has max entry {defect:.3e} >= {isometry_tol:.3e}")
+    lead = a.shape[:-2]
+    all_finite = np.isfinite(a).all()
+    if not all_finite:
+        if not lead:
+            raise NotIsometry("map entries must be finite")
+        # a non-finite map fails; the identity stands in so the numerics stay finite
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        a = np.where(finite[..., None, None], a, _EYE4)
+    defect = _defects(a, g.g)
     # conjugating by diag(sigma^GRADE) scales insertions by sigma and removals
     # by 1/sigma; the null vector comes back divided by sigma^GRADE
     sigma = abs(g.det) ** 0.125
-    at, g_scaled = a.T, g.g / sigma
-    weight = np.concatenate((sigma * _EYE4, g_scaled, at * -sigma, at @ -g_scaled), axis=1)
+    at, g_scaled = a.mT, g.g / sigma
+    fixed = [sigma * _EYE4, g_scaled]
+    if lead:  # the fixed columns once per map
+        fixed = [np.broadcast_to(np.concatenate(fixed, axis=1), lead + (DIM, 2 * DIM))]
+    weight = np.concatenate(fixed + [at * -sigma, at @ -g_scaled], axis=-1)
     # (mu, block, row, column) -> per block, 32 equations (mu, row) on 8 coefficients
-    blocks = (weight @ _CONJUGATION_STACK).reshape(DIM, 2, 8, 8)
-    _, s, vh = np.linalg.svd(blocks.transpose(1, 0, 2, 3).reshape(2, 32, 8), full_matrices=False)
-    smallest, next_smallest = np.sort(s, axis=None)[:2] / s[:, 0].max()
-    if not (smallest <= LIFT_ACCEPT and next_smallest >= LIFT_GAP):
-        raise LiftNotFound(
-            f"no isolated null vector: normalized singular values "
-            f"{smallest:.3e}, {next_smallest:.3e}"
-        )
-    odd = int(s[1, -1] < s[0, -1])
-    coeffs = np.zeros(NBLADES)
-    coeffs[(_EVEN, _ODD)[odd]] = vh[odd, -1]
-    coeffs /= sigma**GRADE
-    m = clifford_to_matrix(CliffordElement(coeffs), basis)
+    blocks = (weight @ _CONJUGATION_STACK).reshape(lead + (DIM, 2, 8, 8))
+    _, s, vh = np.linalg.svd(blocks.swapaxes(-4, -3).reshape(lead + (2, 32, 8)), full_matrices=False)
+    normalized = np.sort(s.reshape(lead + (16,)))[..., :2] / s[..., 0].max(axis=-1)[..., None]
+    if lead:
+        smallest, next_smallest = normalized[..., 0], normalized[..., 1]
+        failed = ~((defect < isometry_tol) & (smallest <= LIFT_ACCEPT) & (next_smallest >= LIFT_GAP))
+        if not all_finite:
+            failed |= ~finite
+    else:
+        smallest, next_smallest = normalized.tolist()
+        if not defect < isometry_tol:
+            raise NotIsometry(f"A^T g A - g has max entry {defect:.3e} >= {isometry_tol:.3e}")
+        if not (smallest <= LIFT_ACCEPT and next_smallest >= LIFT_GAP):
+            raise LiftNotFound(f"no isolated null vector: normalized singular values "
+                               f"{smallest:.3e}, {next_smallest:.3e}")
+    # the null vector comes from the block holding the smallest singular value,
+    # divided back by sigma^GRADE; a loop costs less than vector indexing for
+    # one map, and little for a batch
+    odd = s[..., 1, -1] < s[..., 0, -1]
+    coeffs, largest = np.zeros(lead + (NBLADES,)), np.empty(lead)
+    rows, nulls, tops = coeffs.reshape(-1, NBLADES), vh.reshape(-1, 2, 8, 8), largest.reshape(-1)
+    scales = sigma**GRADE
+    for i, block in enumerate(odd.reshape(-1).tolist()):
+        blades = _ODD if block else _EVEN
+        rows[i, blades] = null = nulls[i, int(block), -1] / scales[blades]
+        tops[i] = null[np.abs(null).argmax()]
+    if lead:  # a placeholder unit, so that a failed map's matrix stays invertible
+        coeffs[failed], largest[failed] = np.arange(NBLADES) == 0, 1.0
+    m = clifford_to_matrix(coeffs, basis)
     # the lift is a real multiple c of a product of unit vectors, each of
     # determinant 1, so det m = c^4 > 0: one real factor gives unit
     # determinant, and its sign makes the largest coefficient positive.  det m
     # is complex up to rounding; the modulus of its complex root equals that
     # root's real part to the last bit, which the root of its modulus need not
-    scale = np.copysign(abs(np.linalg.det(m) ** -0.25), coeffs[np.argmax(np.abs(coeffs))])
-    coeffs, m = coeffs * scale, m * scale
+    scale = np.copysign(abs(np.linalg.det(m) ** -0.25), largest)[..., None]
+    coeffs, m = coeffs * scale, m * scale[..., None]
     inverse = np.linalg.inv(m)
-    residual = float(np.abs(m @ basis.gammas @ inverse - _substituted(a, basis)).max())
-    return SpinElement(CliffordElement(coeffs), m, ("even", "odd")[odd], residual, inverse)
+    images = m[..., None, :, :] @ basis.gammas @ inverse[..., None, :, :]
+    residual = np.abs(images - _substituted(a, basis)).max(axis=(-3, -2, -1))
+    if lead:
+        residual[failed] = np.nan
+    return coeffs, m, inverse, odd, residual
 
 
 def exterior_pushforward(a: np.ndarray) -> np.ndarray:
@@ -218,6 +275,8 @@ class GL4Action:
     Decomposing a matrix over the antisymmetrised blade basis, pushing the
     coefficients forward grade by grade and reassembling the matrix is one
     linear operator on vectorised matrices, B P B^-1, built once per map.
+    A (..., 4, 4) stack of maps gives a stack of operators, and the action
+    broadcasts the maps against a (..., 4, 4) stack of matrices.
     """
 
     def __init__(self, a: np.ndarray, basis: GammaBasis):
@@ -229,9 +288,13 @@ class GL4Action:
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m)
-        if m.shape != (4, 4):
+        if m.shape == (4, 4):  # a vector, which matmul takes by a faster route than a column
+            acted = self._operator @ m.reshape(16)
+        elif m.shape[-2:] == (4, 4):
+            acted = (self._operator @ m.reshape(m.shape[:-2] + (16, 1)))[..., 0]
+        else:
             raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-        return (self._operator @ m.reshape(16)).reshape(4, 4)
+        return acted.reshape(acted.shape[:-1] + (4, 4))
 
 
 def gl4_on_matrices(a: np.ndarray, basis: GammaBasis) -> GL4Action:
@@ -246,30 +309,37 @@ def spinor_factorization(a: np.ndarray, basis: GammaBasis) -> tuple[float, np.nd
     becomes vec(Sigma) vec(Sigma^-T)^T, of rank one, so the operator-Schmidt
     ratio sigma_2/sigma_1 of R vanishes up to rounding exactly when the action
     factors over S.  Returns that ratio and the top left singular vector as a
-    4x4 matrix, which is then the spin lift up to a scalar.  Raises
-    ``ValueError`` for a singular map.
+    4x4 matrix, which is then the spin lift up to a scalar.  A (..., 4, 4)
+    stack of maps gives an array of ratios and a stack of matrices.  Raises
+    ``ValueError`` when a map is singular.
     """
     a = np.asarray(a, dtype=np.float64)
-    if abs(np.linalg.det(a)) < 1e-12:
+    if (abs(np.linalg.det(a)) < 1e-12).any():
         raise ValueError("spinor factorization requires an invertible map")
-    realigned = GL4Action(a, basis)._operator.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
-    u, s, _ = np.linalg.svd(realigned.reshape(16, 16))
-    return float(s[1] / s[0]), u[:, 0].reshape(4, 4)
+    lead = a.shape[:-2]
+    realigned = GL4Action(a, basis)._operator.reshape(lead + (4, 4, 4, 4)).swapaxes(-3, -2)
+    u, s, _ = np.linalg.svd(realigned.reshape(lead + (16, 16)))
+    ratio = s[..., 1] / s[..., 0]
+    return (float(ratio) if ratio.ndim == 0 else ratio), u[..., 0].reshape(lead + (4, 4))
 
 
-def random_lorentz(rng: np.random.Generator, g: Metric) -> np.ndarray:
+def random_lorentz(rng: np.random.Generator, g: Metric, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Random isometry of ``g`` in the identity component of its isometry group.
 
     Exponential of a random generator X with g X antisymmetric, rescaled so
-    the generator's spectral norm stays at or below 3.
+    the generator's spectral norm stays at or below 3.  With ``shape``, a
+    ``shape + (4, 4)`` stack of maps, the same maps that as many calls
+    without it draw one after another.
     """
-    k = rng.normal(size=(4, 4))
-    k = k - k.T
-    x = np.linalg.solve(g.g, k)
-    norm = np.linalg.norm(x, 2)
-    if norm > 3.0:
-        x *= 3.0 / norm
-    return _expm(x)
+    return _lorentz(rng.normal(size=shape + (DIM, DIM)), g)
+
+
+def _lorentz(k: np.ndarray, g: Metric) -> np.ndarray:
+    """The isometries :func:`random_lorentz` makes of a (..., 4, 4) stack of
+    standard normal draws ``k``."""
+    x = np.linalg.solve(g.g, k - np.swapaxes(k, -1, -2))
+    norm = np.linalg.norm(x, 2, axis=(-2, -1))
+    return _expm(x * (3.0 / np.maximum(norm, 3.0))[..., None, None])
 
 
 # numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp
@@ -281,11 +351,12 @@ _THETA13 = 5.371920351148152  # largest 1-norm at which [13/13] is accurate to d
 
 def _expm(x: np.ndarray) -> np.ndarray:
     """Matrix exponential by [13/13] Pade scaling and squaring (Higham, SIAM J.
-    Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3 with m = 13)."""
+    Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3 with m = 13), per matrix of
+    a stack, each with its own scaling exponent."""
     # scale by 2^-s so that the 1-norm is at most theta_13
-    s = max(0, int(np.frexp(np.linalg.norm(x, 1) / _THETA13)[1]))
-    x = x / 2.0**s
-    b, eye = _PADE13, np.eye(len(x))
+    s = np.maximum(0, np.frexp(np.linalg.norm(x, 1, axis=(-2, -1)) / _THETA13)[1])
+    x = x / (2.0**s)[..., None, None]
+    b, eye = _PADE13, np.eye(x.shape[-1])
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
@@ -293,8 +364,8 @@ def _expm(x: np.ndarray) -> np.ndarray:
              + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
     v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for i in range(s.max()):
+        r = np.where((i < s)[..., None, None], r @ r, r)
     return r
 
 
@@ -308,17 +379,25 @@ def random_invertible_non_isometry(
             return a
 
 
-def transport_residual(a: np.ndarray, basis: GammaBasis, matrices: np.ndarray) -> float:
+def transport_residual(a: np.ndarray, basis: GammaBasis, matrices: np.ndarray) -> float | np.ndarray:
     """Largest entry of the exterior-transport action of ``a`` minus conjugation
     by its spin lift, over a stack of 4x4 matrices.
 
     Zero up to rounding for every isometry of the basis metric; raises
-    :class:`NotIsometry` for any other map, which has no lift.
+    :class:`NotIsometry` for any other map, which has no lift.  A (..., 4, 4)
+    stack of maps gives an array of residuals, NaN for a map with no lift.
     """
-    sigma = spin_lift(a, basis)
+    a = np.asarray(a, dtype=np.float64)
+    _, m, inverse, _, lift_residual = _lift_stack(a, basis)
+    failed = np.isnan(lift_residual)
+    a = np.where(failed[..., None, None], _EYE4, a)  # a map with no lift may not be finite
     stack = np.asarray(matrices)
-    acted = (GL4Action(a, basis)._operator @ stack.reshape(-1, 16).T).T.reshape(stack.shape)
-    return float(np.abs(acted - sigma.matrix @ stack @ sigma.inverse_matrix).max())
+    acted = (GL4Action(a, basis)._operator @ stack.reshape(-1, 16).T).swapaxes(-1, -2)
+    conjugated = m[..., None, :, :] @ stack @ inverse[..., None, :, :]
+    residual = np.abs(acted.reshape(conjugated.shape) - conjugated).max(axis=(-3, -2, -1))
+    if residual.ndim == 0:
+        return float(residual)
+    return np.where(failed, np.nan, residual)
 
 
 def grade_leakage(m: np.ndarray, basis: GammaBasis) -> float:
