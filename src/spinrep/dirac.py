@@ -50,7 +50,11 @@ def hodge_dirac_symbol(lam: np.ndarray, g: Metric) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PlaneWave:
-    """Constant amplitude N, exponent covector lambda and mass m; compares by identity."""
+    """Constant amplitude N, exponent covector lambda and mass m; compares by identity.
+
+    A (..., 4, 4) amplitude or a (..., 4) exponent is a stack of waves, whose
+    leading axes broadcast.
+    """
 
     amplitude: np.ndarray
     exponent: np.ndarray
@@ -59,9 +63,9 @@ class PlaneWave:
     def __post_init__(self) -> None:
         n = np.array(self.amplitude, dtype=np.complex128)
         lam = np.array(self.exponent, dtype=np.complex128)
-        if n.shape != (4, 4):
+        if n.shape[-2:] != (4, 4):
             raise ValueError(f"amplitude must be 4x4, got {n.shape}")
-        if lam.shape != (4,):
+        if lam.shape[-1:] != (4,):
             raise ValueError(f"exponent must be a 4-vector, got {lam.shape}")
         n.flags.writeable = False
         lam.flags.writeable = False
@@ -69,10 +73,11 @@ class PlaneWave:
         object.__setattr__(self, "exponent", lam)
         object.__setattr__(self, "mass", complex(self.mass))
 
-    def residual(self, basis: GammaBasis) -> float:
-        """Max-entry violation of symbol(lambda) N = m N."""
+    def residual(self, basis: GammaBasis) -> float | np.ndarray:
+        """Max-entry violation of symbol(lambda) N = m N, per wave of a stack."""
         s = symbol_matrix(self.exponent, basis)
-        return float(np.abs(s @ self.amplitude - self.mass * self.amplitude).max())
+        residual = np.abs(s @ self.amplitude - self.mass * self.amplitude).max(axis=(-2, -1))
+        return float(residual) if residual.ndim == 0 else residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +151,5 @@ def covariance_residual(a: np.ndarray, wave: PlaneWave, basis: GammaBasis) -> fl
     _, m, inverse, _, lift_residual = _lift_stack(a, basis)
     failed = np.isnan(lift_residual)
     a = np.where(failed[..., None, None], np.eye(4), a)  # a map with no lift may not be finite
-    amplitude = m @ wave.amplitude @ inverse
-    s = symbol_matrix(a @ wave.exponent, basis)
-    residual = np.abs(s @ amplitude - wave.mass * amplitude).max(axis=(-2, -1))
-    if residual.ndim == 0:
-        return float(residual)
-    return np.where(failed, np.nan, residual)
+    residual = PlaneWave(m @ wave.amplitude @ inverse, a @ wave.exponent, wave.mass).residual(basis)
+    return residual if failed.ndim == 0 else np.where(failed, np.nan, residual)

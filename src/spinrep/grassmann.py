@@ -1,10 +1,12 @@
 """Complex exterior algebra on four generators with its metric operators.
 
 Elements are dense vectors of 16 complex blade coefficients (see
-:mod:`spinrep._tables` for the blade indexing).  The module provides the
-wedge product, exterior multiplication and metric contraction by a vector
-(from the left and from the right), the generator operators built from their
-sum, the Hodge star and the dual product it induces.
+:mod:`spinrep._tables` for the blade indexing), or stacks of them along
+leading axes, which every operation here takes element by element.  The
+module provides the wedge product, exterior multiplication and metric
+contraction by a vector (from the left and from the right), the generator
+operators built from their sum, the Hodge star and the dual product it
+induces.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -107,6 +109,8 @@ class _BladeVector:
     :class:`spinrep.clifford.CliffordElement`; each subclass names its
     constructors and sets the blade labels its ``str`` prints.  Elements
     compare and hash by identity: compare ``coeffs`` for values.
+    ``coeffs`` of shape (..., 16) is a stack of elements: the arithmetic,
+    ``norm`` and the products act on each, ``str`` and ``grades`` read one.
     """
 
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(NBLADES, complex))
@@ -115,7 +119,7 @@ class _BladeVector:
 
     def __post_init__(self) -> None:
         c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (NBLADES,):
+        if c.shape[-1:] != (NBLADES,):
             raise ValueError(f"expected {NBLADES} coefficients, got shape {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -132,11 +136,10 @@ class _BladeVector:
 
     @classmethod
     def from_vector(cls: type[_E], v: np.ndarray) -> _E:
-        """Grade-1 element with generator coefficients ``v``."""
+        """Grade-1 element with generator coefficients ``v``, (..., 4)."""
         v = np.asarray(v, dtype=np.complex128)
-        c = np.zeros(NBLADES, dtype=np.complex128)
-        for i in range(DIM):
-            c[1 << i] = v[i]
+        c = np.zeros(v.shape[:-1] + (NBLADES,), dtype=np.complex128)
+        c[..., BLADES_BY_GRADE[1]] = v
         return cls(c)
 
     def __add__(self: _E, other: _E) -> _E:
@@ -153,8 +156,9 @@ class _BladeVector:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+    def norm(self) -> float | np.ndarray:
+        norm = np.linalg.norm(self.coeffs, axis=-1)
+        return float(norm) if norm.ndim == 0 else norm
 
     def __str__(self) -> str:
         terms = []
@@ -215,9 +219,14 @@ def _contract(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ijk->...jk", np.asarray(w, dtype=np.complex128), stack)
 
 
+def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """A matrix, or a stack of them, applied to a vector or a stack of them."""
+    return (matrix @ vectors[..., None])[..., 0]
+
+
 def _lower(g: Metric, v: np.ndarray) -> np.ndarray:
     """g v for a 4-vector or a (..., 4) stack of them."""
-    return (g.g @ np.asarray(v, dtype=np.complex128)[..., None])[..., 0]
+    return _apply(g.g, np.asarray(v, dtype=np.complex128))
 
 
 def delta_matrix(v: np.ndarray) -> np.ndarray:
@@ -256,7 +265,7 @@ def delta(v: np.ndarray, a: GrassmannElement) -> GrassmannElement:
 
 def delta_star(v: np.ndarray, a: GrassmannElement, g: Metric) -> GrassmannElement:
     """Left contraction of ``a`` by ``v``; lowers the grade by one."""
-    return GrassmannElement(delta_star_matrix(v, g) @ a.coeffs)
+    return GrassmannElement(_apply(delta_star_matrix(v, g), a.coeffs))
 
 
 def right_delta(v: np.ndarray, a: GrassmannElement) -> GrassmannElement:
@@ -266,7 +275,7 @@ def right_delta(v: np.ndarray, a: GrassmannElement) -> GrassmannElement:
 
 def right_delta_star(v: np.ndarray, a: GrassmannElement, g: Metric) -> GrassmannElement:
     """Right contraction of ``a`` by ``v``."""
-    return GrassmannElement(right_delta_star_matrix(v, g) @ a.coeffs)
+    return GrassmannElement(_apply(right_delta_star_matrix(v, g), a.coeffs))
 
 
 def _gamma_ops(g: np.ndarray, insert: np.ndarray = _INSERT_LEFT,
@@ -338,7 +347,7 @@ def hodge_matrix(g: Metric) -> np.ndarray:
 
 def hodge(a: GrassmannElement, g: Metric) -> GrassmannElement:
     """Hodge star: grade k goes to grade 4 - k."""
-    return GrassmannElement(hodge_matrix(g) @ a.coeffs)
+    return GrassmannElement(_apply(hodge_matrix(g), a.coeffs))
 
 
 def star_star_scalars(g: Metric) -> np.ndarray:

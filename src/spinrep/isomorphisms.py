@@ -15,6 +15,8 @@ of them hold for every metric.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,14 +78,33 @@ class GammaBasis:
         return hash(self._bytes)
 
 
-def anticommutator_defect(basis: GammaBasis) -> float:
-    """Largest entrywise violation of the metric anticommutation relations."""
-    worst = 0.0
-    eye = np.eye(4)
-    for mu in range(DIM):
-        for nu in range(DIM):
-            ac = basis.gammas[mu] @ basis.gammas[nu] + basis.gammas[nu] @ basis.gammas[mu]
-            worst = max(worst, float(np.abs(ac - 2 * basis.metric.g[mu, nu] * eye).max()))
+def anticommutator_defect(basis: GammaBasis | Sequence[GammaBasis]) -> float | np.ndarray:
+    """Largest entrywise violation of the metric anticommutation relations.
+
+    A sequence of bases gives an array, one value per basis.
+    """
+    bases = [basis] if isinstance(basis, GammaBasis) else basis
+    gammas = np.stack([b.gammas for b in bases])
+    worst = _anticommutator_worst(lambda mu, nu: gammas[:, mu] @ gammas[:, nu],
+                                 np.stack([b.metric.g for b in bases]), np.eye(4))
+    return float(worst[0]) if isinstance(basis, GammaBasis) else worst
+
+
+def _anticommutator_worst(product: Callable[[int, int], np.ndarray], g: np.ndarray,
+                         one: np.ndarray) -> np.ndarray:
+    """Per metric of the stack ``g``, the largest entry of
+    product(mu, nu) + product(nu, mu) - 2 g[mu, nu] one over all mu, nu.
+
+    ``product(mu, nu)`` is the product of generators mu and nu of any
+    representation, a stack with one entry per metric, and ``one`` its
+    identity.  One pair at a time keeps the memory to one stack; each
+    unordered pair is taken once, since the sum is symmetric in mu and nu.
+    """
+    worst = np.zeros(len(g))
+    for mu, nu in itertools.combinations_with_replacement(range(DIM), 2):
+        scale = 2.0 * g[:, mu, nu].reshape((-1,) + (1,) * one.ndim)
+        ac = product(mu, nu) + product(nu, mu) - scale * one
+        worst = np.maximum(worst, np.abs(ac).reshape(len(g), -1).max(axis=1))
     return worst
 
 
@@ -132,19 +153,14 @@ def to_grassmann(a: CliffordElement) -> GrassmannElement:
     return GrassmannElement(a.coeffs)
 
 
-def _coeffs(a: CliffordElement | np.ndarray) -> np.ndarray:
-    """The coefficients of an element, or a (..., 16) coefficient stack as given."""
-    return a.coeffs if isinstance(a, CliffordElement) else np.asarray(a)
-
-
-def left_rep(L: CliffordElement | np.ndarray, g: Metric) -> np.ndarray:
+def left_rep(L: CliffordElement, g: Metric) -> np.ndarray:
     """Operator of left multiplication by ``L`` on the 16-dim coefficient space.
 
     The blade operators are the slices of the product tensor, built from the
-    generator operators; extended linearly, an algebra homomorphism.  ``L``
-    may be a (..., 16) stack of coefficients, giving a stack of operators.
+    generator operators; extended linearly, an algebra homomorphism.  A stack
+    of elements gives a stack of operators, here and in :func:`right_rep`.
     """
-    return np.einsum("...i,ikl->...kl", _coeffs(L), product_tensor(g))
+    return np.einsum("...i,ikl->...kl", L.coeffs, product_tensor(g))
 
 
 @lru_cache(maxsize=64)
@@ -157,10 +173,9 @@ def _right_blade_ops_cached(g: Metric) -> np.ndarray:
     return ops
 
 
-def right_rep(R: CliffordElement | np.ndarray, g: Metric) -> np.ndarray:
-    """Operator matching right multiplication by ``R``; commutes with left_rep
-    images.  ``R`` may be a (..., 16) stack of coefficients."""
-    return np.einsum("...i,ikl->...kl", _coeffs(R), _right_blade_ops_cached(g))
+def right_rep(R: CliffordElement, g: Metric) -> np.ndarray:
+    """Operator matching right multiplication by ``R``; commutes with left_rep images."""
+    return np.einsum("...i,ikl->...kl", R.coeffs, _right_blade_ops_cached(g))
 
 
 @lru_cache(maxsize=64)
@@ -178,32 +193,28 @@ def gamma_blade_matrices(basis: GammaBasis) -> np.ndarray:
     return _matrix_basis_cached(basis)[0]
 
 
-def clifford_to_matrix(a: CliffordElement | np.ndarray, basis: GammaBasis) -> np.ndarray:
+def clifford_to_matrix(a: CliffordElement, basis: GammaBasis) -> np.ndarray:
     """Substitute the concrete matrices into the antisymmetrised blade basis.
 
-    ``a`` may be a (..., 16) stack of coefficients, giving a stack of matrices.
+    A stack of elements gives a stack of matrices.
     """
-    return np.einsum("...i,ijk->...jk", _coeffs(a), gamma_blade_matrices(basis))
-
-
-def _matrix_coeffs(m: np.ndarray, basis: GammaBasis) -> np.ndarray:
-    """Blade coefficients of a 4x4 matrix, or of each of a (..., 4, 4) stack."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-    return (_matrix_basis_cached(basis)[1] @ m.reshape(m.shape[:-2] + (16, 1)))[..., 0]
+    return np.einsum("...i,ijk->...jk", a.coeffs, gamma_blade_matrices(basis))
 
 
 def matrix_to_clifford(m: np.ndarray, basis: GammaBasis) -> CliffordElement:
-    """Decompose a 4x4 matrix over the 16 blade matrices."""
-    m = np.asarray(m)
-    if m.shape != (4, 4):
+    """Decompose a 4x4 matrix, or each of a (..., 4, 4) stack, over the 16
+    blade matrices."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-    return CliffordElement(_matrix_coeffs(m, basis))
+    coeffs = _matrix_basis_cached(basis)[1] @ m.reshape(m.shape[:-2] + (16, 1))
+    return CliffordElement(coeffs[..., 0])
 
 
 def matrix_wedge(a: np.ndarray, b: np.ndarray, basis: GammaBasis) -> np.ndarray:
     """Wedge product transported onto 4x4 matrices through the blade
     decomposition; (..., 4, 4) stacks broadcast."""
-    cw = _kernels.wedge16(_matrix_coeffs(a, basis), _matrix_coeffs(b, basis))
-    return clifford_to_matrix(cw, basis)
+    ca = matrix_to_clifford(a, basis)
+    cb = matrix_to_clifford(b, basis)
+    cw = _kernels.wedge16(ca.coeffs, cb.coeffs)
+    return clifford_to_matrix(CliffordElement(cw), basis)

@@ -56,7 +56,7 @@ from . import dirac as dr
 from . import grassmann as gr
 from . import isomorphisms as iso
 from . import transforms as tr
-from ._tables import BLADE_BITS, BLADES_BY_GRADE, GRADE, NBLADES, REVERSION_SIGN, TOP
+from ._tables import BLADE_BITS, BLADES_BY_GRADE, GRADE, NBLADES, TOP
 from .errors import DegenerateMetric
 from .report import FAIL, PASS, CheckResult
 
@@ -122,23 +122,6 @@ def _chunks(n: int) -> Iterator[int]:
     return (len(batch) for batch in _batches(range(n)))
 
 
-def _anticommutator_worst(product: Callable[[int, int], np.ndarray], g: np.ndarray,
-                          one: np.ndarray) -> np.ndarray:
-    """Per metric of the stack ``g``, the largest entry of
-    product(mu, nu) + product(nu, mu) - 2 g[mu, nu] one over all mu, nu.
-
-    ``product(mu, nu)`` is a stack with one entry per metric.  One pair at a
-    time keeps the memory to one stack; each unordered pair is taken once,
-    since the sum is symmetric in mu and nu.
-    """
-    worst = np.zeros(len(g))
-    for mu, nu in itertools.combinations_with_replacement(range(4), 2):
-        scale = 2.0 * g[:, mu, nu].reshape((-1,) + (1,) * one.ndim)
-        ac = product(mu, nu) + product(nu, mu) - scale * one
-        worst = np.maximum(worst, np.abs(ac).reshape(len(g), -1).max(axis=1))
-    return worst
-
-
 def _random_metric(rng: np.random.Generator) -> gr.Metric:
     while True:
         m = rng.uniform(-2.0, 2.0, size=(4, 4))
@@ -169,13 +152,6 @@ def _complex_draws(rng: np.random.Generator, n: int, *shapes: tuple[int, ...]) -
             for xs, shape in zip(x, shapes)]
 
 
-def _grade1(v: np.ndarray) -> np.ndarray:
-    """Coefficients of the grade-1 elements with generator coefficients ``v`` (..., 4)."""
-    out = np.zeros(v.shape[:-1] + (NBLADES,), dtype=np.complex128)
-    out[..., BLADES_BY_GRADE[1]] = v
-    return out
-
-
 def _isometries(rng: np.random.Generator, g: gr.Metric, n: int) -> Iterator[np.ndarray]:
     """n random isometries of ``g`` in stacks of at most ``_BATCH``, every
     third one on the -A branch."""
@@ -185,6 +161,17 @@ def _isometries(rng: np.random.Generator, g: gr.Metric, n: int) -> Iterator[np.n
         flip = np.arange(done, done + size) % 3 == 2  # opposite branch of the special orthogonal group
         yield np.where(flip[:, None, None], -a, a)
         done += size
+
+
+def _nondegenerate(make: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
+    """make(item) for each of ``items`` whose metric is not degenerate."""
+    out = []
+    for item in items:
+        try:
+            out.append(make(item))
+        except DegenerateMetric:
+            continue
+    return out
 
 
 def _well_conditioned_map(rng: np.random.Generator) -> np.ndarray:
@@ -204,14 +191,14 @@ def _generator_anticommutator(ctx, rng, n):
     for batch in _batches(metrics):
         g = np.stack([m.g for m in batch])
         ops = gr._gamma_ops(g)
-        yield from zip(_anticommutator_worst(lambda mu, nu: ops[:, mu] @ ops[:, nu], g, eye), g)
+        worst = iso._anticommutator_worst(lambda mu, nu: ops[:, mu] @ ops[:, nu], g, eye)
+        yield from zip(worst, g)
 
 
 def _wedge_associativity(ctx, rng, n):
-    wedge = _kernels.wedge16
     for size in _chunks(n):
-        a, b, c = _complex_draws(rng, size, (NBLADES,), (NBLADES,), (NBLADES,))
-        yield from _rowmax(wedge(wedge(a, b), c) - wedge(a, wedge(b, c)))
+        a, b, c = map(gr.GrassmannElement, _complex_draws(rng, size, *[(NBLADES,)] * 3))
+        yield from _rowmax(gr.wedge(gr.wedge(a, b), c).coeffs - gr.wedge(a, gr.wedge(b, c)).coeffs)
 
 
 def _grade_shift(ctx, rng, n):
@@ -219,10 +206,10 @@ def _grade_shift(ctx, rng, n):
     # outside grade k - 1 of the lowered one
     for k in range(5):
         omega, v = _complex_draws(rng, 10, (NBLADES,), (4,))
-        omega = np.where(GRADE == k, omega, 0)
-        raised = _kernels.wedge16(_grade1(v), omega)
-        lowered = (gr.delta_star_matrix(v, ctx.metric) @ omega[..., None])[..., 0]
-        for pair in zip(_rowmax(raised[:, GRADE != k + 1]), _rowmax(lowered[:, GRADE != k - 1])):
+        omega = gr.GrassmannElement(np.where(GRADE == k, omega, 0))
+        raised = _rowmax(gr.delta(v, omega).coeffs[:, GRADE != k + 1])
+        lowered = _rowmax(gr.delta_star(v, omega, ctx.metric).coeffs[:, GRADE != k - 1])
+        for pair in zip(raised, lowered):
             yield from pair
 
 
@@ -244,17 +231,16 @@ def _double_star_detail(ctx):
 def _contraction_vs_vee(ctx, rng, n):
     g = ctx.metric
     table = gr.contraction_vs_vee_table(g)
-    star = gr.hodge_matrix(g).T  # right multiplication by it stars a stack of rows
     for size in _chunks(n):
         v, omega = _complex_draws(rng, size, (4,), (NBLADES,))
-        lhs = (gr.delta_star_matrix(v, g) @ omega[..., None])[..., 0]
-        # the dual product v vee w = star(v ^ star w) of the grade-k part lands
-        # in grade k-1; rescale piecewise
-        rhs = 0
+        omega = gr.GrassmannElement(omega)
+        lhs = gr.delta_star(v, omega, g)
+        # the dual product of the grade-k part lands in grade k-1; rescale piecewise
+        rhs = gr.GrassmannElement.zero()
         for k in range(1, 5):
-            dual = _kernels.wedge16(_grade1(v), np.where(GRADE == k, omega, 0) @ star) @ star
-            rhs = rhs + table[k] * dual
-        yield from _rowmax(lhs - rhs)
+            rhs = rhs + table[k] * gr.vee(
+                gr.GrassmannElement.from_vector(v), omega.grade_project(k), g)
+        yield from _rowmax(lhs.coeffs - rhs.coeffs)
 
 
 def _ratio_detail(ctx):
@@ -294,8 +280,8 @@ def _product_anticommutator(ctx, rng, n):
     for batch in _batches(ctx.metric if i == 0 else _random_metric(rng) for i in range(n)):
         g = np.stack([m.g for m in batch])
         t = cl._structure(g)
-        yield from _anticommutator_worst(lambda mu, nu: _kernels.mul16(gens[mu], gens[nu], t),
-                                         g, unit)
+        yield from iso._anticommutator_worst(lambda mu, nu: _kernels.mul16(gens[mu], gens[nu], t),
+                                             g, unit)
 
 
 def _product_table_vs_matrices(ctx, rng, n):
@@ -304,26 +290,26 @@ def _product_table_vs_matrices(ctx, rng, n):
     basis = iso.dirac_matrices(mink)
     blades = iso.gamma_blade_matrices(basis)
     eye = np.eye(NBLADES)
-    via_ops = _kernels.mul16(eye[:, None], eye[None, :], cl.product_tensor(mink))
-    via_mat = iso._matrix_coeffs(blades[:, None] @ blades[None, :], basis)
-    yield from _rowmax((via_ops - via_mat).reshape(NBLADES * NBLADES, NBLADES))
+    via_ops = cl.geometric_product(cl.CliffordElement(eye[:, None]),
+                                   cl.CliffordElement(eye[None, :]), mink)
+    via_mat = iso.matrix_to_clifford(blades[:, None] @ blades[None, :], basis)
+    yield from _rowmax((via_ops.coeffs - via_mat.coeffs).reshape(NBLADES * NBLADES, NBLADES))
 
 
 def _reversion(ctx, rng, n):
-    t = cl.product_tensor(ctx.metric)
+    g = ctx.metric
     for size in _chunks(n):
-        a, b = _complex_draws(rng, size, (NBLADES,), (NBLADES,))
-        lhs = _kernels.mul16(a, b, t) * REVERSION_SIGN
-        rhs = _kernels.mul16(b * REVERSION_SIGN, a * REVERSION_SIGN, t)
-        yield from _rowmax(lhs - rhs)
+        a, b = map(cl.CliffordElement, _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
+        lhs = cl.reversion(cl.geometric_product(a, b, g))
+        rhs = cl.geometric_product(cl.reversion(b), cl.reversion(a), g)
+        yield from _rowmax(lhs.coeffs - rhs.coeffs)
 
 
 def _even_closure(ctx, rng, n):
-    t = cl.product_tensor(ctx.metric)
-    even = GRADE % 2 == 0
     for size in _chunks(n):
-        a, b = (np.where(even, x, 0) for x in _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
-        yield from np.linalg.norm(np.where(even, 0, _kernels.mul16(a, b, t)), axis=1)
+        a, b = (cl.even_part(cl.CliffordElement(x))
+                for x in _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
+        yield from cl.odd_part(cl.geometric_product(a, b, ctx.metric)).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -338,34 +324,34 @@ def _roundtrip(ctx, rng, n):
 
 def _left_intertwining(ctx, rng, n):
     g = ctx.metric
-    t = cl.product_tensor(g)
     for size in _chunks(n):
-        L, M = _complex_draws(rng, size, (NBLADES,), (NBLADES,))
-        yield from _rowmax(_kernels.mul16(L, M, t) - (iso.left_rep(L, g) @ M[..., None])[..., 0])
+        L, M = map(cl.CliffordElement, _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
+        lm = (iso.left_rep(L, g) @ M.coeffs[..., None])[..., 0]
+        yield from _rowmax(cl.geometric_product(L, M, g).coeffs - lm)
 
 
 def _two_sided_intertwining(ctx, rng, n):
     g = ctx.metric
-    t = cl.product_tensor(g)
     for size in _chunks(n):
-        L, M, R = _complex_draws(rng, size, (NBLADES,), (NBLADES,), (NBLADES,))
-        lmr = _kernels.mul16(_kernels.mul16(L, M, t), R, t)
-        yield from _rowmax(lmr - (iso.left_rep(L, g) @ (iso.right_rep(R, g) @ M[..., None]))[..., 0])
+        L, M, R = map(cl.CliffordElement, _complex_draws(rng, size, *[(NBLADES,)] * 3))
+        lmr = cl.geometric_product(cl.geometric_product(L, M, g), R, g).coeffs
+        rm = iso.right_rep(R, g) @ M.coeffs[..., None]
+        yield from _rowmax(lmr - (iso.left_rep(L, g) @ rm)[..., 0])
 
 
 def _left_right_commute(ctx, rng, n):
     for size in _chunks(n):
-        a, b = _complex_draws(rng, size, (NBLADES,), (NBLADES,))
+        a, b = map(cl.CliffordElement, _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
         a, b = iso.left_rep(a, ctx.metric), iso.right_rep(b, ctx.metric)
         yield from _rowmax(a @ b - b @ a)
 
 
 def _matrix_representation(ctx, rng, n):
+    g = ctx.metric
     basis = ctx.basis()
-    t = cl.product_tensor(ctx.metric)
     for size in _chunks(n):
-        a, b = _complex_draws(rng, size, (NBLADES,), (NBLADES,))
-        lhs = iso.clifford_to_matrix(_kernels.mul16(a, b, t), basis)
+        a, b = map(cl.CliffordElement, _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
+        lhs = iso.clifford_to_matrix(cl.geometric_product(a, b, g), basis)
         yield from _rowmax(lhs - iso.clifford_to_matrix(a, basis) @ iso.clifford_to_matrix(b, basis))
 
 
@@ -397,17 +383,10 @@ def _gamma_basis_factorization(ctx, rng, n):
     for size in _chunks(n):
         # per sample, a random_lorentz draw and then the perturbation
         k, noise = rng.normal(size=(size, 2, 4, 4)).transpose(1, 0, 2, 3)
-        metrics = []
-        for a in tr._lorentz(k, mink) @ (np.eye(4) + 0.2 * noise):
-            try:
-                metrics.append(tr.metric_pullback(a, mink))
-            except DegenerateMetric:
-                continue
-        if metrics:
-            gammas = np.stack([iso.dirac_matrices(g).gammas for g in metrics])
-            g = np.stack([g.g for g in metrics])
-            yield from _anticommutator_worst(lambda mu, nu: gammas[:, mu] @ gammas[:, nu], g,
-                                             np.eye(4))
+        maps = tr._lorentz(k, mink) @ (np.eye(4) + 0.2 * noise)
+        bases = _nondegenerate(lambda a: iso.dirac_matrices(tr.metric_pullback(a, mink)), maps)
+        if bases:
+            yield from iso.anticommutator_defect(bases)
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +396,11 @@ def _gamma_basis_factorization(ctx, rng, n):
 def _substitution_metric(ctx, rng, n):
     basis = ctx.basis()
     for size in _chunks(n):
-        maps, metrics = [], []
-        for a in rng.normal(size=(size, 4, 4)):
-            try:
-                metrics.append(tr.metric_pullback(a, basis.metric).g)
-            except DegenerateMetric:
-                continue  # on a metric with small |det g| some pullbacks fall below det_tol
-            maps.append(a)
-        if maps:
-            gammas = tr._substituted(np.stack(maps), basis)
-            yield from _anticommutator_worst(lambda mu, nu: gammas[:, mu] @ gammas[:, nu],
-                                             np.stack(metrics), np.eye(4))
+        # on a metric with small |det g| some pullbacks fall below det_tol
+        maps = rng.normal(size=(size, 4, 4))
+        bases = _nondegenerate(lambda a: tr.substitute_gammas(a, basis), maps)
+        if bases:
+            yield from iso.anticommutator_defect(bases)
 
 
 def _spin_lift(ctx, rng, n):

@@ -181,21 +181,25 @@ def _lift_stack(a: np.ndarray, basis: GammaBasis, isometry_tol: float = DEFAULT_
     Returns the real coefficients (..., 16), the matrices and their inverses
     (..., 4, 4), whether each lift is odd, and each conjugation residual.
     This is :func:`spin_lift` for every map at once.  One map raises as
-    :func:`spin_lift` does; in a stack a map that has no lift gets a NaN
-    residual and a placeholder lift, and the other maps are unaffected.
-    One map takes no stack axis and keeps its checks on scalars, which keeps
-    its cost near that of a lift written for one map.
+    :func:`spin_lift` does, before any solve when it is not an isometry; in
+    a stack a map that has no lift gets a NaN residual and a placeholder
+    lift, and the other maps are unaffected.  One map takes no stack axis
+    and keeps its checks on scalars, which keeps its cost near that of a
+    lift written for one map.
     """
     g = basis.metric
     lead = a.shape[:-2]
-    all_finite = np.isfinite(a).all()
-    if not all_finite:
-        if not lead:
-            raise NotIsometry("map entries must be finite")
-        # a non-finite map fails; the identity stands in so the numerics stay finite
+    if lead:
+        # a map that is not a finite isometry fails, and the identity stands
+        # in for it, so that the solve below stays finite
         finite = np.isfinite(a).all(axis=(-2, -1))
         a = np.where(finite[..., None, None], a, _EYE4)
-    defect = _defects(a, g.g)
+        failed = ~(finite & (_defects(a, g.g) < isometry_tol))
+        a = np.where(failed[..., None, None], _EYE4, a)
+    else:
+        defect = isometry_defect(a, g)
+        if not defect < isometry_tol:
+            raise NotIsometry(f"A^T g A - g has max entry {defect:.3e} >= {isometry_tol:.3e}")
     # conjugating by diag(sigma^GRADE) scales insertions by sigma and removals
     # by 1/sigma; the null vector comes back divided by sigma^GRADE
     sigma = abs(g.det) ** 0.125
@@ -209,14 +213,9 @@ def _lift_stack(a: np.ndarray, basis: GammaBasis, isometry_tol: float = DEFAULT_
     _, s, vh = np.linalg.svd(blocks.swapaxes(-4, -3).reshape(lead + (2, 32, 8)), full_matrices=False)
     normalized = np.sort(s.reshape(lead + (16,)))[..., :2] / s[..., 0].max(axis=-1)[..., None]
     if lead:
-        smallest, next_smallest = normalized[..., 0], normalized[..., 1]
-        failed = ~((defect < isometry_tol) & (smallest <= LIFT_ACCEPT) & (next_smallest >= LIFT_GAP))
-        if not all_finite:
-            failed |= ~finite
+        failed |= ~((normalized[..., 0] <= LIFT_ACCEPT) & (normalized[..., 1] >= LIFT_GAP))
     else:
         smallest, next_smallest = normalized.tolist()
-        if not defect < isometry_tol:
-            raise NotIsometry(f"A^T g A - g has max entry {defect:.3e} >= {isometry_tol:.3e}")
         if not (smallest <= LIFT_ACCEPT and next_smallest >= LIFT_GAP):
             raise LiftNotFound(f"no isolated null vector: normalized singular values "
                                f"{smallest:.3e}, {next_smallest:.3e}")
@@ -233,7 +232,7 @@ def _lift_stack(a: np.ndarray, basis: GammaBasis, isometry_tol: float = DEFAULT_
         tops[i] = null[np.abs(null).argmax()]
     if lead:  # a placeholder unit, so that a failed map's matrix stays invertible
         coeffs[failed], largest[failed] = np.arange(NBLADES) == 0, 1.0
-    m = clifford_to_matrix(coeffs, basis)
+    m = clifford_to_matrix(CliffordElement(coeffs), basis)
     # the lift is a real multiple c of a product of unit vectors, each of
     # determinant 1, so det m = c^4 > 0: one real factor gives unit
     # determinant, and its sign makes the largest coefficient positive.  det m
@@ -289,11 +288,10 @@ class GL4Action:
     def __call__(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m)
         if m.shape == (4, 4):  # a vector, which matmul takes by a faster route than a column
-            acted = self._operator @ m.reshape(16)
-        elif m.shape[-2:] == (4, 4):
-            acted = (self._operator @ m.reshape(m.shape[:-2] + (16, 1)))[..., 0]
-        else:
+            return (self._operator @ m.reshape(16)).reshape(self.a.shape)
+        if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
+        acted = (self._operator @ m.reshape(m.shape[:-2] + (16, 1)))[..., 0]
         return acted.reshape(acted.shape[:-1] + (4, 4))
 
 
@@ -395,9 +393,7 @@ def transport_residual(a: np.ndarray, basis: GammaBasis, matrices: np.ndarray) -
     acted = (GL4Action(a, basis)._operator @ stack.reshape(-1, 16).T).swapaxes(-1, -2)
     conjugated = m[..., None, :, :] @ stack @ inverse[..., None, :, :]
     residual = np.abs(acted.reshape(conjugated.shape) - conjugated).max(axis=(-3, -2, -1))
-    if residual.ndim == 0:
-        return float(residual)
-    return np.where(failed, np.nan, residual)
+    return float(residual) if residual.ndim == 0 else np.where(failed, np.nan, residual)
 
 
 def grade_leakage(m: np.ndarray, basis: GammaBasis) -> float:

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from spinrep import _kernels
+from spinrep import clifford as cl
 from spinrep import dirac as dr
+from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
 from spinrep import transforms as tr
-from spinrep._tables import NBLADES, WEDGE_SIGN
+from spinrep._tables import GRADE, NBLADES, WEDGE_SIGN
 from spinrep.report import FAIL
 from spinrep.suites import Check, SuiteContext, _run
 
-from conftest import random_element_coeffs
+from conftest import random_element_coeffs, random_symmetric_metric
 from test_transforms import ORACLE_IDS, ORACLE_METRICS, oracle_maps
 
 
@@ -72,6 +74,53 @@ def test_compound16_batched_equals_per_map(rng):
     assert batched.shape == (3, 7, NBLADES, NBLADES)
     per_map = np.stack([[_kernels.compound16(a) for a in row] for row in maps])
     assert batched.tobytes() == per_map.tobytes()
+
+
+def test_element_stacks_equal_per_element(basis, rng):
+    g = random_symmetric_metric(rng)
+    x, y = (np.stack([random_element_coeffs(rng) for _ in range(9)]) for _ in range(2))
+    v = x[:, :4] + 0.5
+    a, b = gr.GrassmannElement(x), gr.GrassmannElement(y)
+    c, d = cl.CliffordElement(x), cl.CliffordElement(y)
+    matrices = y[:, :16].reshape(9, 4, 4)
+    stacked = [gr.wedge(a, b), gr.delta(v, a), gr.delta_star(v, a, g), gr.right_delta(v, a),
+               gr.right_delta_star(v, a, g), gr.hodge(a, g), gr.vee(a, b, g), a.grade_project(2),
+               gr.GrassmannElement.from_vector(v), cl.geometric_product(c, d, g), cl.reversion(c),
+               cl.even_part(c), cl.odd_part(c), cl.grade_project(c, 3)]
+    for i in range(9):
+        ai, bi = gr.GrassmannElement(x[i]), gr.GrassmannElement(y[i])
+        ci, di = cl.CliffordElement(x[i]), cl.CliffordElement(y[i])
+        single = [gr.wedge(ai, bi), gr.delta(v[i], ai), gr.delta_star(v[i], ai, g),
+                  gr.right_delta(v[i], ai), gr.right_delta_star(v[i], ai, g), gr.hodge(ai, g),
+                  gr.vee(ai, bi, g), ai.grade_project(2), gr.GrassmannElement.from_vector(v[i]),
+                  cl.geometric_product(ci, di, g), cl.reversion(ci), cl.even_part(ci),
+                  cl.odd_part(ci), cl.grade_project(ci, 3)]
+        for many, one in zip(stacked, single):
+            assert many.coeffs[i].tobytes() == one.coeffs.tobytes()
+        assert a.norm()[i] == pytest.approx(ai.norm(), rel=1e-15)
+        assert iso.left_rep(c, g)[i].tobytes() == iso.left_rep(ci, g).tobytes()
+        assert iso.right_rep(c, g)[i].tobytes() == iso.right_rep(ci, g).tobytes()
+        assert iso.clifford_to_matrix(c, basis)[i].tobytes() == \
+            iso.clifford_to_matrix(ci, basis).tobytes()
+        assert iso.matrix_to_clifford(matrices, basis).coeffs[i].tobytes() == \
+            iso.matrix_to_clifford(matrices[i], basis).coeffs.tobytes()
+        assert iso.matrix_wedge(matrices, matrices[::-1], basis)[i].tobytes() == \
+            iso.matrix_wedge(matrices[i], matrices[8 - i], basis).tobytes()
+    with pytest.raises(ValueError, match="16 coefficients"):
+        gr.GrassmannElement(np.zeros((3, 15)))
+    assert not stacked[7].coeffs[:, GRADE != 2].any()
+
+
+def test_stacked_bases_and_waves_equal_per_item(mink, basis, rng):
+    bases = [tr.substitute_gammas(rng.normal(size=(4, 4)), basis) for _ in range(5)]
+    bases.append(iso.dirac_matrices(random_symmetric_metric(rng)))
+    defects = iso.anticommutator_defect(bases)
+    assert [float(d) for d in defects] == [iso.anticommutator_defect(b) for b in bases]
+    amplitudes = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    exponents = rng.normal(size=(6, 4))
+    residuals = dr.PlaneWave(amplitudes, exponents, 0.7).residual(basis)
+    for i in range(6):
+        assert residuals[i] == dr.PlaneWave(amplitudes[i], exponents[i], 0.7).residual(basis)
 
 
 def test_stacked_actions_and_residuals_equal_per_map(mink, basis, rng):

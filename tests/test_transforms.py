@@ -148,6 +148,23 @@ def test_non_finite_map_is_not_an_isometry(a, basis):
             call()
 
 
+@pytest.mark.parametrize("a", [np.diag([1.0, 2.0, 1.0, 1.0]), np.full((4, 4), 1e150)],
+                         ids=["stretch", "large"])
+def test_non_isometry_raises_before_the_solve(a, basis, monkeypatch):
+    # a single map that is not an isometry never reaches LAPACK
+    def solve(*args, **kwargs):
+        raise AssertionError("a non-isometry reached the solve")
+
+    monkeypatch.setattr(np.linalg, "svd", solve)
+    monkeypatch.setattr(np.linalg, "det", solve)
+    wave = dr.PlaneWave(np.eye(4), np.array([1.0, 0.2, 0.0, 0.0]), 1.0)
+    for call in (lambda: tr.spin_lift(a, basis),
+                 lambda: tr.transport_residual(a, basis, basis.gammas),
+                 lambda: dr.covariance_residual(a, wave, basis)):
+        with pytest.raises(NotIsometry, match="max entry"):
+            call()
+
+
 def test_lift_without_an_isolated_null_vector_raises(basis):
     # 2 I passes a tolerance of 100, but no element conjugates g_mu into 2 g_mu
     with pytest.raises(LiftNotFound, match="no isolated null vector"):
