@@ -25,8 +25,6 @@ from . import transforms as tr
 from ._tables import NBLADES, blade_label
 from ._version import __version__
 from .errors import ConfigError, DegenerateMetric, SpinrepError
-from .report import Report
-from .suites import SUITE_NAMES, SuiteContext, run_suite
 
 PRESETS = {
     "minkowski+---": gr.minkowski("+---"),
@@ -98,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=None,
                           help="override the per-check sample counts")
     p_verify.add_argument("--suite", action="append", default=None,
-                          help=f"suite to run, repeatable (default: all of {', '.join(SUITE_NAMES)})")
+                          help="suite to run, repeatable (default: all)")
 
     p_lift = sub.add_parser("lift", help="conjugating element for a linear map")
     _add_common(p_lift)
@@ -119,6 +117,10 @@ def _check_tol(tol: float | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the checks and the report are compiled for verify alone, not for lift or table
+    from .report import Report
+    from .suites import SUITE_NAMES, SuiteContext, run_suite
+
     _check_tol(args.tol)
     if args.samples is not None and args.samples < 1:
         raise ConfigError("--samples must be at least 1")

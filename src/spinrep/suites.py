@@ -122,12 +122,14 @@ def _chunks(n: int) -> Iterator[int]:
     return (len(batch) for batch in _batches(range(n)))
 
 
-def _random_metric(rng: np.random.Generator) -> gr.Metric:
+def _random_metric(rng: np.random.Generator) -> np.ndarray:
+    """A random symmetric 4x4 array with |det| at least 1e-6, far above the
+    degeneracy threshold of :class:`Metric`."""
     while True:
         m = rng.uniform(-2.0, 2.0, size=(4, 4))
         m = (m + m.T) / 2.0
         if abs(np.linalg.det(m)) >= 1e-6:
-            return gr.Metric(m)
+            return m
 
 
 def _random_element(rng: np.random.Generator) -> np.ndarray:
@@ -187,9 +189,9 @@ def _well_conditioned_map(rng: np.random.Generator) -> np.ndarray:
 
 def _generator_anticommutator(ctx, rng, n):
     eye = np.eye(NBLADES)
-    metrics = itertools.chain([ctx.metric, gr.minkowski()], (_random_metric(rng) for _ in range(n)))
+    metrics = itertools.chain([ctx.metric.g, gr.minkowski().g], (_random_metric(rng) for _ in range(n)))
     for batch in _batches(metrics):
-        g = np.stack([m.g for m in batch])
+        g = np.stack(batch)
         ops = gr._gamma_ops(g)
         worst = iso._anticommutator_worst(lambda mu, nu: ops[:, mu] @ ops[:, nu], g, eye)
         yield from zip(worst, g)
@@ -249,7 +251,7 @@ def _ratio_detail(ctx):
 
 
 def _left_right_commutation(ctx, rng, n):
-    for g in [ctx.metric] + [_random_metric(rng) for _ in range(10)]:
+    for g in [ctx.metric] + [gr.Metric(_random_metric(rng)) for _ in range(10)]:
         for mu in range(4):
             left = gr.gamma_op(mu, g)
             for nu in range(4):
@@ -262,26 +264,15 @@ def _left_right_commutation(ctx, rng, n):
 
 
 def _product_associativity(ctx, rng, n):
-    trials = ((ctx.metric if i == 0 else _random_metric(rng),
+    trials = ((ctx.metric.g if i == 0 else _random_metric(rng),
                [_random_element(rng) for _ in range(3)]) for i in range(n))
     for batch in _batches(trials):
-        g = np.stack([m.g for m, _ in batch])
+        g = np.stack([m for m, _ in batch])
         t = cl._structure(g)
         a, b, c = np.array([elements for _, elements in batch]).transpose(1, 0, 2)
         lhs = _kernels.mul16(_kernels.mul16(a, b, t), c, t)
         rhs = _kernels.mul16(a, _kernels.mul16(b, c, t), t)
         yield from zip(np.abs(lhs - rhs).max(axis=1), g)
-
-
-def _product_anticommutator(ctx, rng, n):
-    unit = np.zeros(NBLADES)
-    unit[0] = 1.0
-    gens = [cl.CliffordElement.generator(mu).coeffs for mu in range(4)]
-    for batch in _batches(ctx.metric if i == 0 else _random_metric(rng) for i in range(n)):
-        g = np.stack([m.g for m in batch])
-        t = cl._structure(g)
-        yield from iso._anticommutator_worst(lambda mu, nu: _kernels.mul16(gens[mu], gens[nu], t),
-                                             g, unit)
 
 
 def _product_table_vs_matrices(ctx, rng, n):
@@ -314,20 +305,6 @@ def _even_closure(ctx, rng, n):
 
 # ---------------------------------------------------------------------------
 # iso
-
-
-def _roundtrip(ctx, rng, n):
-    for b in range(NBLADES):
-        omega = gr.GrassmannElement.blade(b)
-        yield _maxabs(iso.to_grassmann(iso.to_clifford(omega)).coeffs - omega.coeffs)
-
-
-def _left_intertwining(ctx, rng, n):
-    g = ctx.metric
-    for size in _chunks(n):
-        L, M = map(cl.CliffordElement, _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
-        lm = (iso.left_rep(L, g) @ M.coeffs[..., None])[..., 0]
-        yield from _rowmax(cl.geometric_product(L, M, g).coeffs - lm)
 
 
 def _two_sided_intertwining(ctx, rng, n):
@@ -630,8 +607,6 @@ def _non_isometry_mixing(ctx, rng, n):
 CHECKS = (
     Check("clifford", "product_associativity", "clifford.assoc", 100, 1e-11,
           _product_associativity, inputs="metric"),
-    Check("clifford", "generator_anticommutator", "clifford.anticommutator", 50, 1e-12,
-          _product_anticommutator),
     Check("clifford", "product_table_vs_matrix_rep", None, None, 1e-12,
           _product_table_vs_matrices, detail="independent 4x4 matrix route"),
     Check("clifford", "reversion_antiautomorphism", "clifford.reversion", 50, 1e-11, _reversion),
@@ -668,9 +643,6 @@ CHECKS = (
     Check("grassmann", "left_right_commutation", "grassmann.left_right", None, 1e-12,
           _left_right_commutation),
 
-    Check("iso", "canonical_map_roundtrip", None, None, None, _roundtrip,
-          detail="coefficientwise identity on all blades"),
-    Check("iso", "left_multiplication_intertwining", "iso.left", 100, 1e-11, _left_intertwining),
     Check("iso", "two_sided_intertwining", "iso.lmr", 100, 1e-11, _two_sided_intertwining),
     Check("iso", "left_right_images_commute", "iso.commute", 50, 1e-11, _left_right_commute),
     Check("iso", "matrix_representation", "iso.matrixrep", 100, 1e-11, _matrix_representation),

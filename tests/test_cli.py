@@ -149,6 +149,18 @@ def test_verify_does_not_import_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_lift_does_not_import_the_suites():
+    # the check declarations and the report serve verify alone; lift and
+    # table must not compile them
+    code = ("import sys; from spinrep import cli; "
+            "cli.main(['lift','--json','--','-1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1']); "
+            "cli.main(['table','hodge']); "
+            "assert 'spinrep.suites' not in sys.modules, 'suites'; "
+            "assert 'spinrep.report' not in sys.modules, 'report'")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2

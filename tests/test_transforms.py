@@ -316,6 +316,59 @@ def test_spin_lift_matches_matrix_space_oracle(g, rng):
         assert lift.parity == ("even" if np.linalg.det(a) > 0 else "odd")
 
 
+def recorded_gates(monkeypatch):
+    """Every call of the lift's accept gate: its two blocks' singular values
+    and what it returned."""
+    calls = []
+    gate = tr._gate
+
+    def record(even, odd):
+        calls.append((even, odd, gate(even, odd)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(tr, "_gate", record)
+    return calls
+
+
+def assert_gate_reads_the_sorted_values(calls):
+    for even, odd, (block, smallest, next_smallest) in calls:
+        values = np.array(even + odd)
+        low = np.sort(values)[:2] / values.max()
+        assert (smallest, next_smallest) == (low[0], low[1])
+        assert block == int(odd[-1] < even[-1])
+
+
+@pytest.mark.parametrize("g", ORACLE_METRICS, ids=ORACLE_IDS)
+def test_gate_equals_the_two_smallest_of_the_sorted_values(g, rng, monkeypatch):
+    # the gate reads the per-block minima; they give what sorting all 16 gives
+    b = iso.dirac_matrices(g)
+    maps = oracle_maps(rng, g)
+    calls = recorded_gates(monkeypatch)
+    for a in maps:
+        tr.spin_lift(a, b)
+    tr._lift_stack(np.stack(maps), b)
+    assert len(calls) == 2 * len(maps)
+    assert_gate_reads_the_sorted_values(calls)
+
+
+def test_gate_equals_the_sorted_values_without_a_lift(basis, monkeypatch):
+    calls = recorded_gates(monkeypatch)
+    with pytest.raises(LiftNotFound):
+        tr.spin_lift(2 * np.eye(4), basis, 100.0)
+    assert len(calls) == 1
+    assert_gate_reads_the_sorted_values(calls)
+
+
+def test_gate_equals_the_sorted_values_on_any_blocks(rng):
+    # lifts rarely put the next smallest value in the block of the smallest;
+    # random blocks, with ties, put it anywhere
+    calls = []
+    for _ in range(200):
+        even, odd = (sorted(rng.integers(1, 6, size=8).tolist(), reverse=True) for _ in range(2))
+        calls.append((even, odd, tr._gate(even, odd)))
+    assert_gate_reads_the_sorted_values(calls)
+
+
 @pytest.mark.parametrize("g", ORACLE_METRICS, ids=ORACLE_IDS)
 def test_spin_lift_is_real_with_unit_determinant(g, rng):
     b = iso.dirac_matrices(g)
