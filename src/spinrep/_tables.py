@@ -27,6 +27,8 @@ BLADES_BY_GRADE = tuple(
 
 TOP = NBLADES - 1  # the volume blade 0b1111
 
+MASKS = np.arange(NBLADES)  # every blade mask, ascending
+
 
 def _parity_sign(swaps: int) -> int:
     return -1 if swaps & 1 else 1
@@ -54,11 +56,7 @@ WEDGE_SIGN = np.array(
 
 # dense structure tensor for the wedge product: out[k] += W[i, j, k] a[i] b[j]
 WEDGE_TENSOR = np.zeros((NBLADES, NBLADES, NBLADES), dtype=np.float64)
-for _a in range(NBLADES):
-    for _b in range(NBLADES):
-        _s = WEDGE_SIGN[_a, _b]
-        if _s:
-            WEDGE_TENSOR[_a, _b, _a | _b] = _s
+WEDGE_TENSOR[MASKS[:, None], MASKS, MASKS[:, None] | MASKS] = WEDGE_SIGN
 
 # reversion sign of each blade, (-1)^(k(k-1)/2) at grade k
 REVERSION_SIGN = np.array(

@@ -22,7 +22,7 @@ from . import clifford as cl
 from . import grassmann as gr
 from . import isomorphisms as iso
 from . import transforms as tr
-from ._tables import NBLADES, blade_label
+from ._tables import NBLADES, WEDGE_TENSOR, blade_label
 from ._version import __version__
 from .errors import ConfigError, DegenerateMetric, SpinrepError
 
@@ -251,19 +251,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             print("  " + "  ".join(f"{k}: {s:+.6g}" for k, s in enumerate(ratios) if k))
         return 0
     symbol, unit = ("g", "Id")
-    entries = []
-    for i in range(NBLADES):
-        row = []
-        for j in range(NBLADES):
-            if args.which == "clifford":
-                prod = cl.geometric_product(
-                    cl.CliffordElement.basis_blade(i), cl.CliffordElement.basis_blade(j), g)
-                row.append(_format_entry(prod.coeffs, symbol, unit))
-            else:
-                a = gr.GrassmannElement.blade(i)
-                b = gr.GrassmannElement.blade(j)
-                row.append(_format_entry(gr.wedge(a, b).coeffs, symbol, unit))
-        entries.append(row)
+    # entry [i, j] holds the coefficients of blade i times blade j
+    table = cl.product_tensor(g).transpose(0, 2, 1) if args.which == "clifford" else WEDGE_TENSOR
+    entries = [[_format_entry(products, symbol, unit) for products in row] for row in table]
     labels = [blade_label(b, symbol, unit) for b in range(NBLADES)]
     if args.json:
         print(json.dumps({

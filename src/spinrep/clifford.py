@@ -27,7 +27,7 @@ from ._tables import (
     NBLADES,
     REVERSION_SIGN,
 )
-from .grassmann import Metric, _BladeVector, _gamma_ops
+from .grassmann import Metric, _BladeVector, _gamma_ops, _gamma_ops_cached
 
 
 class CliffordElement(_BladeVector):
@@ -85,8 +85,9 @@ def _structure(g: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _structure_cached(g: Metric) -> np.ndarray:
-    """Real structure tensor: the stack of the 16 blade operators."""
-    tensor = _structure(g.g)
+    """Real structure tensor: the stack of the 16 blade operators, built on
+    the cached generator operators."""
+    tensor = _blade_products(_gamma_ops_cached(g))
     tensor.flags.writeable = False
     return tensor
 

@@ -25,6 +25,7 @@ from ._tables import (
     BLADES_BY_GRADE,
     DIM,
     GRADE,
+    MASKS,
     NBLADES,
     TOP,
     WEDGE_SIGN,
@@ -36,8 +37,28 @@ from .errors import DegenerateMetric
 DEFAULT_DET_TOL = 1e-12
 
 
+class _ByteKey:
+    """Equality and hash by the bytes of one defining array, with -0.0 read
+    as 0.0 as np.array_equal reads it, so that one value is one cache entry.
+    Each subclass, a frozen dataclass, passes that array to :meth:`_key` in
+    its ``__post_init__``."""
+
+    _bytes: bytes
+
+    def _key(self, array: np.ndarray) -> None:
+        object.__setattr__(self, "_bytes", (array + 0.0).tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._bytes == other._bytes
+
+    def __hash__(self) -> int:
+        return hash(self._bytes)  # bytes keep their hash after the first call
+
+
 @dataclass(frozen=True, eq=False)
-class Metric:
+class Metric(_ByteKey):
     """Symmetric nondegenerate real 4x4 bilinear form.
 
     The matrix is required to be finite and symmetric exactly as stored; it
@@ -67,18 +88,8 @@ class Metric:
             raise DegenerateMetric(f"|det g| = {abs(det):.3e} below tolerance {self.det_tol:.3e}")
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
-        # not fields: det is derived, and _bytes is what equality and the hash
-        # compare, with -0.0 read as 0.0 as np.array_equal reads it
-        object.__setattr__(self, "_det", det)
-        object.__setattr__(self, "_bytes", (g + 0.0).tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Metric):
-            return NotImplemented
-        return self._bytes == other._bytes
-
-    def __hash__(self) -> int:
-        return hash(self._bytes)  # bytes keep their hash after the first call
+        object.__setattr__(self, "_det", det)  # not a field: derived from g
+        self._key(g)
 
     @property
     def det(self) -> float:
@@ -329,8 +340,7 @@ def right_gamma_op(i: int, g: Metric) -> np.ndarray:
 # minor of g on rows a, columns b: star = S (wedge g) with S[TOP ^ a, a] the
 # sign of e_a ^ e_(TOP ^ a), scaled by the unit volume e_0123 / sqrt|det g|
 _COMPLEMENT = np.zeros((NBLADES, NBLADES))
-for _a in range(NBLADES):
-    _COMPLEMENT[TOP ^ _a, _a] = WEDGE_SIGN[_a, TOP ^ _a]
+_COMPLEMENT[TOP ^ MASKS, MASKS] = WEDGE_SIGN[MASKS, TOP ^ MASKS]
 
 
 @lru_cache(maxsize=128)

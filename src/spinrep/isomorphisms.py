@@ -16,7 +16,7 @@ of them hold for every metric.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from ._tables import DIM, NBLADES
 from .clifford import CliffordElement, _blade_products, product_tensor
-from .grassmann import GrassmannElement, Metric, _right_gamma_ops_cached
+from .grassmann import GrassmannElement, Metric, _ByteKey, _right_gamma_ops_cached
 
 # standard Dirac representation: diagonal-blocks gamma0, off-diagonal Pauli blocks
 _PAULI = (
@@ -51,7 +51,7 @@ _STANDARD_TIMES_I = 1j * _STANDARD
 
 
 @dataclass(frozen=True, eq=False)
-class GammaBasis:
+class GammaBasis(_ByteKey):
     """Four concrete 4x4 generator matrices together with the metric they represent.
 
     Bases compare and hash by ``gammas`` alone, which determine the metric.
@@ -66,16 +66,7 @@ class GammaBasis:
             raise ValueError(f"expected four 4x4 matrices, got shape {g.shape}")
         g.flags.writeable = False
         object.__setattr__(self, "gammas", g)
-        # not a field: what equality and the hash compare, -0.0 read as 0.0
-        object.__setattr__(self, "_bytes", (g + 0.0).tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GammaBasis):
-            return NotImplemented
-        return self._bytes == other._bytes
-
-    def __hash__(self) -> int:
-        return hash(self._bytes)
+        self._key(g)
 
 
 def anticommutator_defect(basis: GammaBasis | Sequence[GammaBasis]) -> float | np.ndarray:
@@ -84,26 +75,25 @@ def anticommutator_defect(basis: GammaBasis | Sequence[GammaBasis]) -> float | n
     A sequence of bases gives an array, one value per basis.
     """
     bases = [basis] if isinstance(basis, GammaBasis) else basis
-    gammas = np.stack([b.gammas for b in bases])
-    worst = _anticommutator_worst(lambda mu, nu: gammas[:, mu] @ gammas[:, nu],
-                                 np.stack([b.metric.g for b in bases]), np.eye(4))
+    worst = _anticommutator_worst(np.stack([b.gammas for b in bases]),
+                                  np.stack([b.metric.g for b in bases]))
     return float(worst[0]) if isinstance(basis, GammaBasis) else worst
 
 
-def _anticommutator_worst(product: Callable[[int, int], np.ndarray], g: np.ndarray,
-                         one: np.ndarray) -> np.ndarray:
-    """Per metric of the stack ``g``, the largest entry of
-    product(mu, nu) + product(nu, mu) - 2 g[mu, nu] one over all mu, nu.
+def _anticommutator_worst(gens: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per metric of the (metrics, 4, 4) stack ``g``, the largest entry of
+    gens[mu] gens[nu] + gens[nu] gens[mu] - 2 g[mu, nu] Id over all mu, nu.
 
-    ``product(mu, nu)`` is the product of generators mu and nu of any
-    representation, a stack with one entry per metric, and ``one`` its
-    identity.  One pair at a time keeps the memory to one stack; each
-    unordered pair is taken once, since the sum is symmetric in mu and nu.
+    ``gens`` is the (metrics, 4, d, d) stack of the four generators of any
+    representation, one set per metric.  One pair at a time keeps the memory
+    to one stack; each unordered pair is taken once, since the sum is
+    symmetric in mu and nu.
     """
+    one = np.eye(gens.shape[-1])
     worst = np.zeros(len(g))
     for mu, nu in itertools.combinations_with_replacement(range(DIM), 2):
-        scale = 2.0 * g[:, mu, nu].reshape((-1,) + (1,) * one.ndim)
-        ac = product(mu, nu) + product(nu, mu) - scale * one
+        ac = (gens[:, mu] @ gens[:, nu] + gens[:, nu] @ gens[:, mu]
+              - 2.0 * g[:, mu, nu, None, None] * one)
         worst = np.maximum(worst, np.abs(ac).reshape(len(g), -1).max(axis=1))
     return worst
 

@@ -308,27 +308,32 @@ def time_reversal_matrix() -> np.ndarray:
     return np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
+def _gl4_operator(a: np.ndarray, basis: GammaBasis) -> np.ndarray:
+    """The operator B P B^-1 of :class:`GL4Action` on vectorised 4x4 matrices.
+
+    B^-1 decomposes a matrix over the antisymmetrised blade matrices, P
+    pushes the coefficients forward grade by grade and B reassembles the
+    matrix.  A (..., 4, 4) stack of maps gives a (..., 16, 16) stack.
+    """
+    stack, flat_inv = _matrix_basis_cached(basis)
+    return stack.reshape(NBLADES, 16).T @ exterior_pushforward(a) @ flat_inv
+
+
 class GL4Action:
     """Action of an invertible map on 4x4 matrices through the blade basis.
 
-    Decomposing a matrix over the antisymmetrised blade basis, pushing the
-    coefficients forward grade by grade and reassembling the matrix is one
-    linear operator on vectorised matrices, B P B^-1, built once per map.
-    A (..., 4, 4) stack of maps gives a stack of operators, and the action
+    Holds only the map's operator from :func:`_gl4_operator`, built once.  A
+    (..., 4, 4) stack of maps gives a stack of operators, and the action
     broadcasts the maps against a (..., 4, 4) stack of matrices.
     """
 
     def __init__(self, a: np.ndarray, basis: GammaBasis):
-        self.a = np.asarray(a, dtype=np.float64)
-        self.basis = basis
-        self.pushforward = exterior_pushforward(self.a)
-        stack, flat_inv = _matrix_basis_cached(basis)
-        self._operator = stack.reshape(NBLADES, 16).T @ self.pushforward @ flat_inv
+        self._operator = _gl4_operator(a, basis)
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m)
         if m.shape == (4, 4):  # a vector, which matmul takes by a faster route than a column
-            return (self._operator @ m.reshape(16)).reshape(self.a.shape)
+            return (self._operator @ m.reshape(16)).reshape(self._operator.shape[:-2] + (4, 4))
         if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
         acted = (self._operator @ m.reshape(m.shape[:-2] + (16, 1)))[..., 0]
@@ -355,7 +360,7 @@ def spinor_factorization(a: np.ndarray, basis: GammaBasis) -> tuple[float, np.nd
     if (abs(np.linalg.det(a)) < 1e-12).any():
         raise ValueError("spinor factorization requires an invertible map")
     lead = a.shape[:-2]
-    realigned = GL4Action(a, basis)._operator.reshape(lead + (4, 4, 4, 4)).swapaxes(-3, -2)
+    realigned = _gl4_operator(a, basis).reshape(lead + (4, 4, 4, 4)).swapaxes(-3, -2)
     u, s, _ = np.linalg.svd(realigned.reshape(lead + (16, 16)))
     ratio = s[..., 1] / s[..., 0]
     return (float(ratio) if ratio.ndim == 0 else ratio), u[..., 0].reshape(lead + (4, 4))
@@ -430,7 +435,7 @@ def transport_residual(a: np.ndarray, basis: GammaBasis, matrices: np.ndarray) -
     failed = np.isnan(lift_residual)
     a = np.where(failed[..., None, None], _EYE4, a)  # a map with no lift may not be finite
     stack = np.asarray(matrices)
-    acted = (GL4Action(a, basis)._operator @ stack.reshape(-1, 16).T).swapaxes(-1, -2)
+    acted = (_gl4_operator(a, basis) @ stack.reshape(-1, 16).T).swapaxes(-1, -2)
     conjugated = m[..., None, :, :] @ stack @ inverse[..., None, :, :]
     residual = np.abs(acted.reshape(conjugated.shape) - conjugated).max(axis=(-3, -2, -1))
     return float(residual) if residual.ndim == 0 else np.where(failed, np.nan, residual)
@@ -443,13 +448,8 @@ def grade_leakage(m: np.ndarray, basis: GammaBasis) -> float:
     by the norm of all coefficients.  It vanishes when ``m`` lifts an
     isometry and is generically nonzero for other invertible matrices.
     """
-    minv = np.linalg.inv(m)
-    leakage = 0.0
-    for b, blade in enumerate(gamma_blade_matrices(basis)):
-        coeffs = matrix_to_clifford(m @ blade @ minv, basis).coeffs
-        total = np.linalg.norm(coeffs)
-        if total == 0:
-            continue
-        off = np.linalg.norm(coeffs[GRADE != GRADE[b]])
-        leakage = max(leakage, float(off / total))
-    return leakage
+    # row b holds the coefficients of m b m^-1; no row is all zero, since
+    # conjugation maps a nonzero matrix to a nonzero one
+    coeffs = matrix_to_clifford(m @ gamma_blade_matrices(basis) @ np.linalg.inv(m), basis).coeffs
+    off = np.where(GRADE[:, None] == GRADE, 0.0, coeffs)
+    return float((np.linalg.norm(off, axis=1) / np.linalg.norm(coeffs, axis=1)).max())

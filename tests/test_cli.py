@@ -9,6 +9,9 @@ import pytest
 
 import spinrep
 from spinrep import cli
+from spinrep import clifford as cl
+from spinrep import grassmann as gr
+from spinrep._tables import NBLADES
 from spinrep.errors import ConfigError
 from spinrep.suites import SUITE_NAMES
 
@@ -353,6 +356,35 @@ def test_table_wedge_nilpotent_entry(capsys):
     labels = payload["labels"]
     i = labels.index("g0")
     assert payload["entries"][i][i] == "0"
+
+
+TABLE_METRICS = {
+    "minkowski": "minkowski+---",
+    "non-diagonal": "1,0.3,0,0,0.3,-1,0,0,0,0,-1,0.2,0,0,0.2,-1",
+    "3I": "3,0,0,0,0,3,0,0,0,0,3,0,0,0,0,3",
+}
+
+
+@pytest.mark.parametrize("which", ["clifford", "wedge"])
+@pytest.mark.parametrize("spec", TABLE_METRICS.values(), ids=TABLE_METRICS.keys())
+def test_table_entries_equal_single_products(capsys, which, spec):
+    # every entry [i, j] is blade i times blade j, one product at a time; blade
+    # pairs that anticommute tell a transposed table from the right one
+    code, out, _ = run_cli(capsys, "table", which, f"--metric={spec}", "--json")
+    assert code == 0
+    g = cli.load_metric(spec)
+    expected = []
+    for i in range(NBLADES):
+        row = []
+        for j in range(NBLADES):
+            if which == "clifford":
+                coeffs = cl.geometric_product(
+                    cl.CliffordElement.basis_blade(i), cl.CliffordElement.basis_blade(j), g).coeffs
+            else:
+                coeffs = gr.wedge(gr.GrassmannElement.blade(i), gr.GrassmannElement.blade(j)).coeffs
+            row.append(cli._format_entry(coeffs, "g", "Id"))
+        expected.append(row)
+    assert json.loads(out)["entries"] == expected
 
 
 def test_table_hodge_signs(capsys):

@@ -10,11 +10,13 @@ import pytest
 from spinrep import clifford as cl
 from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
+from spinrep import transforms as tr
 from spinrep.report import FAIL, PASS
-from spinrep.suites import SUITE_NAMES, Check, SuiteContext, _run, run_suite
+from spinrep.suites import CHECKS, SUITE_NAMES, Check, SuiteContext, _run, run_suite
 
 PER_METRIC_CACHES = (gr._gamma_ops_cached, gr._right_gamma_ops_cached, gr._hodge_matrix_cached,
-                     cl._structure_cached, iso._matrix_basis_cached, iso._right_blade_ops_cached)
+                     cl._structure_cached, iso._matrix_basis_cached, iso._right_blade_ops_cached,
+                     tr._lift_system_cached)
 
 
 def run_values(values, tol, at_least=False, inputs=None, ctx_tol=None):
@@ -76,6 +78,14 @@ def test_failing_at_least_check_records_smallest_input():
     assert (result.status, result.residual) == (FAIL, 1e-4)
     assert result.inputs == {"A": [[2.0, 2.0], [2.0, 2.0]]}
     assert run_values(trials[:1], 1e-2, at_least=True, inputs="A").inputs is None
+
+
+def test_check_keys_and_names_are_unique():
+    # a repeated key would give two checks one random stream
+    keys = [c.key for c in CHECKS if c.key is not None]
+    names = [(c.suite, c.name) for c in CHECKS]
+    assert len(set(keys)) == len(keys)
+    assert len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
