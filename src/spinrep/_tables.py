@@ -12,8 +12,13 @@ import numpy as np
 DIM = 4
 NBLADES = 1 << DIM  # 16
 
+MASKS = np.arange(NBLADES)  # every blade mask, ascending
+
+# _BITS[b, j]: whether generator j is a factor of blade b
+_BITS = MASKS[:, None] >> np.arange(DIM) & 1
+
 # grade of each blade = number of set bits
-GRADE = np.array([bin(b).count("1") for b in range(NBLADES)], dtype=np.int64)
+GRADE = _BITS.sum(axis=1)
 
 # bit positions of each blade, ascending
 BLADE_BITS = tuple(
@@ -27,42 +32,19 @@ BLADES_BY_GRADE = tuple(
 
 TOP = NBLADES - 1  # the volume blade 0b1111
 
-MASKS = np.arange(NBLADES)  # every blade mask, ascending
-
-
-def _parity_sign(swaps: int) -> int:
-    return -1 if swaps & 1 else 1
-
-
-def _wedge_sign(a: int, b: int) -> int:
-    """Sign of blade(a) ^ blade(b) relative to the ascending-order blade.
-
-    Zero if the masks overlap.  Counts, for each factor of b, the factors of
-    a that must be jumped to merge the two ascending sequences.
-    """
-    if a & b:
-        return 0
-    swaps = 0
-    for j in BLADE_BITS[b]:
-        swaps += bin(a >> (j + 1)).count("1")
-    return _parity_sign(swaps)
-
-
-# WEDGE_SIGN[a, b]: sign of e_a ^ e_b (0 on overlap); result mask is a | b
-WEDGE_SIGN = np.array(
-    [[_wedge_sign(a, b) for b in range(NBLADES)] for a in range(NBLADES)],
-    dtype=np.int8,
-)
+# WEDGE_SIGN[a, b]: sign of e_a ^ e_b (0 on overlap); result mask is a | b.
+# Merging the two ascending sequences moves each factor j of b past the
+# factors of a above j, GRADE[a >> (j + 1)] of them; the sign is the parity
+# of the total
+_SWAPS = GRADE[MASKS[:, None] >> np.arange(1, DIM + 1)] @ _BITS.T
+WEDGE_SIGN = np.where(MASKS[:, None] & MASKS, 0, 1 - 2 * (_SWAPS & 1)).astype(np.int8)
 
 # dense structure tensor for the wedge product: out[k] += W[i, j, k] a[i] b[j]
 WEDGE_TENSOR = np.zeros((NBLADES, NBLADES, NBLADES), dtype=np.float64)
 WEDGE_TENSOR[MASKS[:, None], MASKS, MASKS[:, None] | MASKS] = WEDGE_SIGN
 
 # reversion sign of each blade, (-1)^(k(k-1)/2) at grade k
-REVERSION_SIGN = np.array(
-    [(-1) ** (int(GRADE[b]) * (int(GRADE[b]) - 1) // 2) for b in range(NBLADES)],
-    dtype=np.int8,
-)
+REVERSION_SIGN = ((-1) ** (GRADE * (GRADE - 1) // 2)).astype(np.int8)
 
 
 def blade_label(mask: int, symbol: str = "d", unit: str = "1", sep: str = "") -> str:

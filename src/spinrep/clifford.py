@@ -14,8 +14,6 @@ operators, built from the generator operators by :func:`_blade_products`.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import _kernels
@@ -27,7 +25,7 @@ from ._tables import (
     NBLADES,
     REVERSION_SIGN,
 )
-from .grassmann import Metric, _BladeVector, _gamma_ops, _gamma_ops_cached
+from .grassmann import Metric, _BladeVector, _gamma_ops, _gamma_ops_cached, _per_metric
 
 
 class CliffordElement(_BladeVector):
@@ -83,13 +81,11 @@ def _structure(g: np.ndarray) -> np.ndarray:
     return _blade_products(_gamma_ops(g))
 
 
-@lru_cache(maxsize=64)
+@_per_metric
 def _structure_cached(g: Metric) -> np.ndarray:
     """Real structure tensor: the stack of the 16 blade operators, built on
     the cached generator operators."""
-    tensor = _blade_products(_gamma_ops_cached(g))
-    tensor.flags.writeable = False
-    return tensor
+    return _blade_products(_gamma_ops_cached(g))
 
 
 def product_tensor(g: Metric) -> np.ndarray:

@@ -15,7 +15,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import ClassVar, TypeVar
 
 import numpy as np
@@ -98,6 +98,31 @@ class Metric(_ByteKey):
     def inner(self, v: np.ndarray, w: np.ndarray) -> complex:
         """Bilinear pairing g(v, w) of two (possibly complex) 4-vectors."""
         return complex(np.asarray(v) @ self.g @ np.asarray(w))
+
+
+# Every per-metric build is cached at this one size.  The traffic rule: the
+# most metrics any caller alternates between is two (a stream of lifts on two
+# fixed metrics), and a verify run judges one, so 8 holds every metric a
+# caller returns to with room to spare; a sweep of fresh metrics reuses none,
+# and a larger size would only keep structure that is never read again.
+_PER_METRIC_SIZE = 8
+
+
+def _per_metric(build):
+    """``build``, a pure function of one metric or basis, cached at
+    ``_PER_METRIC_SIZE`` entries.  Every array it returns, alone or in a
+    tuple, is marked read-only, since one cached value serves every caller.
+    The result is the ``lru_cache`` object, with its ``cache_info`` and
+    ``cache_clear``."""
+
+    @wraps(build)
+    def frozen(key):
+        value = build(key)
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+        return value
+
+    return lru_cache(maxsize=_PER_METRIC_SIZE)(frozen)
 
 
 def minkowski(signature: str = "+---") -> Metric:
@@ -301,18 +326,16 @@ def _gamma_ops(g: np.ndarray, insert: np.ndarray = _INSERT_LEFT,
     return insert + (g @ remove.reshape(DIM, -1)).reshape(g.shape[:-1] + (NBLADES, NBLADES))
 
 
-@lru_cache(maxsize=128)
+@_per_metric
 def _gamma_ops_cached(g: Metric) -> np.ndarray:
-    ops = _gamma_ops(g.g)
-    ops.flags.writeable = False
-    return ops
+    """The (4, 16, 16) left generator operators of ``g``."""
+    return _gamma_ops(g.g)
 
 
-@lru_cache(maxsize=128)
+@_per_metric
 def _right_gamma_ops_cached(g: Metric) -> np.ndarray:
-    ops = _gamma_ops(g.g, _INSERT_RIGHT, _REMOVE_RIGHT)
-    ops.flags.writeable = False
-    return ops
+    """The (4, 16, 16) right generator operators of ``g``."""
+    return _gamma_ops(g.g, _INSERT_RIGHT, _REMOVE_RIGHT)
 
 
 def gamma_op(i: int, g: Metric) -> np.ndarray:
@@ -343,11 +366,10 @@ _COMPLEMENT = np.zeros((NBLADES, NBLADES))
 _COMPLEMENT[TOP ^ MASKS, MASKS] = WEDGE_SIGN[MASKS, TOP ^ MASKS]
 
 
-@lru_cache(maxsize=128)
+@_per_metric
 def _hodge_matrix_cached(g: Metric) -> np.ndarray:
-    h = 1.0 / np.sqrt(abs(g.det)) * (_COMPLEMENT @ _kernels.compound16(g.g))
-    h.flags.writeable = False
-    return h
+    """The 16x16 Hodge star of ``g``."""
+    return 1.0 / np.sqrt(abs(g.det)) * (_COMPLEMENT @ _kernels.compound16(g.g))
 
 
 def hodge_matrix(g: Metric) -> np.ndarray:

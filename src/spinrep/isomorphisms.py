@@ -18,14 +18,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
 from ._tables import DIM, NBLADES
 from .clifford import CliffordElement, _blade_products, product_tensor
-from .grassmann import GrassmannElement, Metric, _ByteKey, _right_gamma_ops_cached
+from .grassmann import GrassmannElement, Metric, _ByteKey, _per_metric, _right_gamma_ops_cached
 
 # standard Dirac representation: diagonal-blocks gamma0, off-diagonal Pauli blocks
 _PAULI = (
@@ -153,14 +152,15 @@ def left_rep(L: CliffordElement, g: Metric) -> np.ndarray:
     return np.einsum("...i,ikl->...kl", L.coeffs, product_tensor(g))
 
 
-@lru_cache(maxsize=64)
+@_per_metric
 def _right_blade_ops_cached(g: Metric) -> np.ndarray:
-    # right multiplication reverses products, so the transposed operators
-    # compose like the left ones
+    """The 16 operators of right multiplication by a blade, unit first.
+
+    Right multiplication reverses products, so the transposed operators
+    compose like the left ones.
+    """
     gens = _right_gamma_ops_cached(g).transpose(0, 2, 1)
-    ops = np.ascontiguousarray(_blade_products(gens).transpose(0, 2, 1))
-    ops.flags.writeable = False
-    return ops
+    return np.ascontiguousarray(_blade_products(gens).transpose(0, 2, 1))
 
 
 def right_rep(R: CliffordElement, g: Metric) -> np.ndarray:
@@ -168,14 +168,12 @@ def right_rep(R: CliffordElement, g: Metric) -> np.ndarray:
     return np.einsum("...i,ikl->...kl", R.coeffs, _right_blade_ops_cached(g))
 
 
-@lru_cache(maxsize=64)
+@_per_metric
 def _matrix_basis_cached(basis: GammaBasis):
+    """The (16, 4, 4) blade matrices of ``basis`` and the inverse of the
+    16x16 matrix whose columns are those matrices, vectorized."""
     stack = _blade_products(basis.gammas)
-    flat = stack.reshape(NBLADES, 16).T  # columns are vectorized basis matrices
-    flat_inv = np.linalg.inv(flat)
-    stack.flags.writeable = False
-    flat_inv.flags.writeable = False
-    return stack, flat_inv
+    return stack, np.linalg.inv(stack.reshape(NBLADES, 16).T)
 
 
 def gamma_blade_matrices(basis: GammaBasis) -> np.ndarray:

@@ -14,7 +14,6 @@ conjugation system on 4x4 matrices is kept as its independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import _kernels
 from ._tables import DIM, GRADE, NBLADES
 from .clifford import CliffordElement
 from .errors import LiftNotFound, NotIsometry
-from .grassmann import _INSERT_LEFT, _INSERT_RIGHT, _REMOVE_LEFT, _REMOVE_RIGHT, Metric
+from .grassmann import _INSERT_LEFT, _INSERT_RIGHT, _REMOVE_LEFT, _REMOVE_RIGHT, Metric, _per_metric
 from .isomorphisms import (
     GammaBasis,
     _matrix_basis_cached,
@@ -149,7 +148,7 @@ _SIDES = np.stack((_SIDES[..., _ODD[:, None], _EVEN], _SIDES[..., _EVEN[:, None]
                   axis=2).reshape(2, 2 * DIM, 128)
 
 
-@lru_cache(maxsize=64)
+@_per_metric
 def _lift_system_cached(basis: GammaBasis):
     """What the lift of a map takes from its basis alone.
 
@@ -170,10 +169,7 @@ def _lift_system_cached(basis: GammaBasis):
     # side, (side, mu, block, entry) -> (side, block, mu, entry)
     sides = sigma * _SIDES[:, :DIM] + (g.g / sigma) @ _SIDES[:, DIM:]
     fixed, moving = np.ascontiguousarray(sides.reshape(2, DIM, 2, 64).transpose(0, 2, 1, 3))
-    divisors = sigma**_PARITY_GRADES
-    for array in (fixed, moving, divisors):
-        array.flags.writeable = False
-    return fixed, moving, divisors, basis.gammas.view(np.float64).reshape(DIM, 32)
+    return fixed, moving, sigma**_PARITY_GRADES, basis.gammas.view(np.float64).reshape(DIM, 32)
 
 
 def spin_lift(

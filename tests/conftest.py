@@ -50,6 +50,21 @@ def move_sign_table(side, remove):
     return table
 
 
+def wedge_sign(a, b):
+    """Sign of blade(a) ^ blade(b) relative to the ascending-order blade.
+
+    Zero if the masks overlap.  Counts, for each factor of b, the factors of
+    a that must be jumped to merge the two ascending sequences.
+    """
+    if a & b:
+        return 0
+    swaps = 0
+    for j in range(4):
+        if b >> j & 1:
+            swaps += bin(a >> (j + 1)).count("1")
+    return -1 if swaps & 1 else 1
+
+
 # the non-diagonal Lorentz metric of the golden reports
 NON_DIAGONAL = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, -1.0, 0.0, 0.0],
                          [0.0, 0.0, -1.0, 0.2], [0.0, 0.0, 0.2, -1.0]])

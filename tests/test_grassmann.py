@@ -12,6 +12,7 @@ from spinrep._tables import (
     BLADE_BITS,
     GRADE,
     NBLADES,
+    REVERSION_SIGN,
     TOP,
     WEDGE_SIGN,
 )
@@ -22,6 +23,7 @@ from conftest import (
     preset_metrics,
     random_element_coeffs,
     random_symmetric_metric,
+    wedge_sign,
 )
 
 
@@ -77,6 +79,18 @@ def hodge_diagonal_oracle(b, g):
 
 # ---------------------------------------------------------------------------
 # wedge
+
+def test_blade_tables_equal_loop_oracles():
+    # the tables are array expressions over the masks; each entry is checked
+    # against a loop over one blade or one pair of blades
+    assert (GRADE.dtype, WEDGE_SIGN.dtype, REVERSION_SIGN.dtype) == (np.int64, np.int8, np.int8)
+    for a in range(NBLADES):
+        assert GRADE[a] == bin(a).count("1")
+        assert REVERSION_SIGN[a] == (-1) ** (len(BLADE_BITS[a]) * (len(BLADE_BITS[a]) - 1) // 2)
+        for b in range(NBLADES):
+            sign = wedge_blades_oracle(BLADE_BITS[a], BLADE_BITS[b])[0]
+            assert WEDGE_SIGN[a, b] == wedge_sign(a, b) == sign, (a, b)
+
 
 def test_wedge_repeated_generator_is_zero():
     d1 = gr.GrassmannElement.blade(0b0010)

@@ -1,18 +1,23 @@
 """The check runner: its verdict in each sense, and its resource bounds."""
 
+import importlib
 import json
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import spinrep
 from spinrep import clifford as cl
 from spinrep import grassmann as gr
 from spinrep import isomorphisms as iso
 from spinrep import transforms as tr
 from spinrep.report import FAIL, PASS
 from spinrep.suites import CHECKS, SUITE_NAMES, Check, SuiteContext, _run, run_suite
+
+from conftest import NON_DIAGONAL
 
 PER_METRIC_CACHES = (gr._gamma_ops_cached, gr._right_gamma_ops_cached, gr._hodge_matrix_cached,
                      cl._structure_cached, iso._matrix_basis_cached, iso._right_blade_ops_cached,
@@ -102,3 +107,51 @@ def test_suite_memory_stays_bounded(name):
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_per_metric_caches_are_every_cache():
+    # a cache missing from the list would start the memory test above warm
+    found = set()
+    for info in pkgutil.iter_modules(spinrep.__path__):
+        module = importlib.import_module(f"spinrep.{info.name}")
+        found |= {id(obj) for obj in vars(module).values() if hasattr(obj, "cache_info")}
+    assert found == {id(cache) for cache in PER_METRIC_CACHES}
+
+
+def test_per_metric_caches_return_read_only_arrays():
+    g = gr.Metric(NON_DIAGONAL)
+    basis = iso.dirac_matrices(g)
+    for cache in PER_METRIC_CACHES:
+        value = cache(basis if cache in (iso._matrix_basis_cached, tr._lift_system_cached) else g)
+        for array in value if isinstance(value, tuple) else (value,):
+            assert not array.flags.writeable, cache.__name__
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+
+def test_alternating_lifts_add_no_miss(rng):
+    # two metrics, as a stream of lifts on two fixed metrics alternates
+    bases = [iso.dirac_matrices(gr.minkowski()), iso.dirac_matrices(gr.Metric(NON_DIAGONAL))]
+    for basis in bases:
+        tr.spin_lift(np.eye(4), basis)
+    caches = (tr._lift_system_cached, iso._matrix_basis_cached)
+    before = [cache.cache_info().misses for cache in caches]
+    for _ in range(5):
+        for basis in bases:
+            tr.spin_lift(tr.random_lorentz(rng, basis.metric), basis)
+    assert [cache.cache_info().misses for cache in caches] == before
+
+
+def test_every_suite_reads_one_dirac_basis(monkeypatch):
+    built = []
+    dirac_matrices = iso.dirac_matrices
+
+    def counted(g):
+        built.append(g)
+        return dirac_matrices(g)
+
+    monkeypatch.setattr(iso, "dirac_matrices", counted)
+    ctx = SuiteContext(gr.Metric(NON_DIAGONAL), samples=3)
+    for name in SUITE_NAMES:
+        run_suite(name, ctx)
+    assert sum(g == ctx.metric for g in built) == 1
