@@ -124,6 +124,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_tol(args.tol)
     if args.samples is not None and args.samples < 1:
         raise ConfigError("--samples must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     metric = load_metric(args.metric)
     requested = args.suite or list(SUITE_NAMES)
     bad = sorted(set(requested) - set(SUITE_NAMES))
@@ -173,7 +175,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
     metric = load_metric(args.metric)
     a = parse_matrix4(args.map)
     basis = iso.dirac_matrices(metric)
-    defect = tr.isometry_defect(a, metric)
+    # a finite map whose A^T g A overflows is no isometry: its defect is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = tr.isometry_defect(a, metric)
     isometry_tol = args.tol if args.tol is not None else tr.DEFAULT_ISOMETRY_TOL
     if defect < isometry_tol:
         sigma = tr.spin_lift(a, basis, isometry_tol)
@@ -200,7 +204,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
         payload = {
             "schema": "spinrep-lift/1",
             "isometry": False,
-            "isometry_defect": defect,
+            # JSON has no infinity; an overflowing defect is written as null
+            "isometry_defect": defect if np.isfinite(defect) else None,
             "smallest_normalized_singular_value": float(svals[-1]),
             "verdict": verdict,
         }

@@ -25,7 +25,7 @@ from ._tables import (
     NBLADES,
     REVERSION_SIGN,
 )
-from .grassmann import Metric, _BladeVector, _gamma_ops, _gamma_ops_cached, _per_metric
+from .grassmann import Metric, _BladeVector, _gamma_ops_cached, _per_metric
 
 
 class CliffordElement(_BladeVector):
@@ -74,11 +74,6 @@ def _blade_products(gens: np.ndarray) -> np.ndarray:
         gen, w = gens[..., first, :, :], out[..., rest, :, :]
         out[..., blades, :, :] = 0.5 * (gen @ w + sign * (w @ gen))
     return out
-
-
-def _structure(g: np.ndarray) -> np.ndarray:
-    """Real structure tensors of a metric matrix or a (..., 4, 4) stack of them."""
-    return _blade_products(_gamma_ops(g))
 
 
 @_per_metric

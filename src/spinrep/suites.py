@@ -24,11 +24,18 @@ A declaration holds:
   and its input is recorded;
 * ``detail``, a fixed string or a function of the context; empty means
   ``tol <tolerance>`` or ``at least <threshold>``;
-* ``inputs``, the report key (``metric`` or ``A``) of the input each trial
-  yields with its value; a failing check records the worst one;
+* ``inputs``, the report key ``A`` of the map each trial yields with its
+  value; a failing check records the worst one;
 * ``at_least``, the sense: ``False`` for a residual, whose largest value must
   stay below ``tol``; ``True`` for a separation, whose smallest value must
   stay above it.
+
+Every check judges the context's metric and basis, ``ctx.metric`` and
+``ctx.basis``, and metrics derived from them such as pullbacks; none draws,
+builds or names a metric of its own.  The identities that hold for every
+metric are sampled over random metrics in the tests (``tests/test_clifford.py``,
+``tests/test_grassmann.py`` and ``tests/test_isomorphisms.py``), not in every
+user's run.
 
 The runner alone judges.  A non-finite value fails the check in either
 sense; the report then writes the residual as ``null`` and says so in the
@@ -50,7 +57,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import _kernels
 from . import clifford as cl
 from . import dirac as dr
 from . import grassmann as gr
@@ -88,7 +94,7 @@ class Check:
     at_least: bool = False
 
 
-# a check stacks at most this many samples (metrics, maps or elements) into
+# a check stacks at most this many samples (maps or elements) into
 # one batch, so its memory stays bounded whatever --samples asks for
 _BATCH = 16
 
@@ -112,16 +118,6 @@ def _batches(items: Iterable[Any]) -> Iterator[list[Any]]:
 def _chunks(n: int) -> Iterator[int]:
     """The sizes of the batches of n samples."""
     return (len(batch) for batch in _batches(range(n)))
-
-
-def _random_metric(rng: np.random.Generator) -> np.ndarray:
-    """A random symmetric 4x4 array with |det| at least 1e-6, far above the
-    degeneracy threshold of :class:`Metric`."""
-    while True:
-        m = rng.uniform(-2.0, 2.0, size=(4, 4))
-        m = (m + m.T) / 2.0
-        if abs(np.linalg.det(m)) >= 1e-6:
-            return m
 
 
 def _complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -173,10 +169,7 @@ def _well_conditioned_map(rng: np.random.Generator) -> np.ndarray:
 
 
 def _generator_anticommutator(ctx, rng, n):
-    metrics = itertools.chain([ctx.metric.g, gr.minkowski().g], (_random_metric(rng) for _ in range(n)))
-    for batch in _batches(metrics):
-        g = np.stack(batch)
-        yield from zip(iso._anticommutator_worst(gr._gamma_ops(g), g), g)
+    yield from iso._anticommutator_worst(gr._gamma_ops_cached(ctx.metric)[None], ctx.metric.g[None])
 
 
 def _wedge_associativity(ctx, rng, n):
@@ -233,12 +226,11 @@ def _ratio_detail(ctx):
 
 
 def _left_right_commutation(ctx, rng, n):
-    for g in [ctx.metric] + [gr.Metric(_random_metric(rng)) for _ in range(10)]:
-        for mu in range(4):
-            left = gr.gamma_op(mu, g)
-            for nu in range(4):
-                right = gr.right_gamma_op(nu, g)
-                yield _maxabs(left @ right - right @ left)
+    for mu in range(4):
+        left = gr.gamma_op(mu, ctx.metric)
+        for nu in range(4):
+            right = gr.right_gamma_op(nu, ctx.metric)
+            yield _maxabs(left @ right - right @ left)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +238,12 @@ def _left_right_commutation(ctx, rng, n):
 
 
 def _product_associativity(ctx, rng, n):
-    trials = ((ctx.metric.g if i == 0 else _random_metric(rng),
-               [_complex(rng, NBLADES) for _ in range(3)]) for i in range(n))
-    for batch in _batches(trials):
-        g = np.stack([m for m, _ in batch])
-        t = cl._structure(g)
-        a, b, c = np.array([elements for _, elements in batch]).transpose(1, 0, 2)
-        lhs = _kernels.mul16(_kernels.mul16(a, b, t), c, t)
-        rhs = _kernels.mul16(a, _kernels.mul16(b, c, t), t)
-        yield from zip(np.abs(lhs - rhs).max(axis=1), g)
+    g = ctx.metric
+    for size in _chunks(n):
+        a, b, c = map(cl.CliffordElement, _complex_draws(rng, size, *[(NBLADES,)] * 3))
+        lhs = cl.geometric_product(cl.geometric_product(a, b, g), c, g)
+        rhs = cl.geometric_product(a, cl.geometric_product(b, c, g), g)
+        yield from _rowmax(lhs.coeffs - rhs.coeffs)
 
 
 def _reversion(ctx, rng, n):
@@ -326,12 +315,13 @@ def _matrix_wedge(ctx, rng, n):
 
 
 def _gamma_basis_factorization(ctx, rng, n):
-    mink = gr.minkowski()
+    g = ctx.metric
     for size in _chunks(n):
-        # per sample, a random_lorentz draw and then the perturbation
+        # per sample, a random_lorentz draw and then the perturbation; on a
+        # metric with small |det g| some pullbacks fall below det_tol
         k, noise = rng.normal(size=(size, 2, 4, 4)).transpose(1, 0, 2, 3)
-        maps = tr._lorentz(k, mink) @ (np.eye(4) + 0.2 * noise)
-        bases = _nondegenerate(lambda a: iso.dirac_matrices(tr.metric_pullback(a, mink)), maps)
+        maps = tr._lorentz(k, g) @ (np.eye(4) + 0.2 * noise)
+        bases = _nondegenerate(lambda a: iso.dirac_matrices(tr.metric_pullback(a, g)), maps)
         if bases:
             yield from iso.anticommutator_defect(bases)
 
@@ -566,7 +556,7 @@ def _non_isometry_mixing(ctx, rng, n):
 
 CHECKS = (
     Check("clifford", "product_associativity", "clifford.assoc", 100, 1e-11,
-          _product_associativity, inputs="metric"),
+          _product_associativity),
     Check("clifford", "reversion_antiautomorphism", "clifford.reversion", 50, 1e-11, _reversion),
     Check("clifford", "even_subalgebra_closure", "clifford.even", 50, 1e-12, _even_closure),
 
@@ -585,8 +575,7 @@ CHECKS = (
     Check("dirac", "generic_map_mixes_product_states", "dirac.entangle", 20, 1e-3,
           _non_isometry_mixing, inputs="A", at_least=True),
 
-    Check("grassmann", "generator_anticommutator", "grassmann.anticommutator", 200, 1e-12,
-          _generator_anticommutator, inputs="metric"),
+    Check("grassmann", "generator_anticommutator", None, None, 1e-12, _generator_anticommutator),
     Check("grassmann", "wedge_associativity", "grassmann.wedge_assoc", 100, 1e-12,
           _wedge_associativity),
     Check("grassmann", "grade_shift", "grassmann.grade_shift", None, None, _grade_shift,
@@ -596,8 +585,7 @@ CHECKS = (
     Check("grassmann", "double_star_is_per_grade_sign", None, None, 1e-10, _double_star_sign),
     Check("grassmann", "contraction_vs_vee_stable", "grassmann.vee", 50, 1e-10,
           _contraction_vs_vee, detail=_ratio_detail),
-    Check("grassmann", "left_right_commutation", "grassmann.left_right", None, 1e-12,
-          _left_right_commutation),
+    Check("grassmann", "left_right_commutation", None, None, 1e-12, _left_right_commutation),
 
     Check("iso", "two_sided_intertwining", "iso.lmr", 100, 1e-11, _two_sided_intertwining),
     Check("iso", "left_right_images_commute", "iso.commute", 50, 1e-11, _left_right_commute),
@@ -607,7 +595,7 @@ CHECKS = (
     Check("iso", "matrix_wedge_rules", "iso.matrixwedge", 50, 1e-11, _matrix_wedge,
           detail="nilpotent generators, unit law, associativity"),
     Check("iso", "gamma_basis_factorization", "iso.factorization", 20, 1e-11,
-          _gamma_basis_factorization, detail="random Lorentz-signature metrics"),
+          _gamma_basis_factorization, detail="pullbacks of the metric by perturbed isometries"),
 
     Check("proposition", "exterior_transport_equals_conjugation", "proposition.isometry", 50,
           1e-10, _proposition_isometry, detail="all 16 basis blades per map", inputs="A"),

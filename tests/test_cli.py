@@ -120,6 +120,8 @@ def test_verify_degenerate_metric_exits_2(capsys):
     # finite entries whose determinant overflows to -inf
     ["verify", "--suite", "grassmann", "--metric=" + OVERFLOWING_METRIC],
     ["lift", "--metric=" + OVERFLOWING_METRIC, "--", "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
+    # not non-finite, but as bad: numpy seeds only from non-negative integers
+    ["verify", "--seed=-1"],
 ])
 def test_non_finite_input_exits_2_with_one_error_line(argv):
     proc = run_python("-m", "spinrep.cli", *argv)
@@ -320,6 +322,16 @@ def test_lift_non_isometry_verdict(capsys):
     assert code == 0
     assert "not an isometry" in out
     assert "null space trivial" in out
+
+
+def test_lift_overflowing_defect_is_null_in_json(capsys):
+    # finite entries whose A^T g A overflows: no isometry, and no Infinity in the JSON
+    huge = "1e300,0,0,0,0,1e300,0,0,0,0,1e300,0,0,0,0,1e300"
+    code, out, err = run_cli(capsys, "lift", "--json", "--", huge)
+    payload = loads_strict(out)
+    assert (code, err) == (0, "")
+    assert (payload["isometry"], payload["isometry_defect"]) == (False, None)
+    assert payload["verdict"] == "null space trivial"
 
 
 def test_lift_without_an_isolated_null_vector_exits_2(capsys):

@@ -187,18 +187,6 @@ def test_blade_products_per_grade_equal_per_blade_loop(rng):
         assert iso.gamma_blade_matrices(basis).tobytes() == matrices.tobytes()
 
 
-def test_stacked_structure_equals_cached(rng):
-    # the batched build behind the per-metric checks is the cached one per metric
-    metrics = preset_metrics() + [random_symmetric_metric(rng) for _ in range(37)]
-    stack = cl._structure(np.stack([g.g for g in metrics]))
-    assert stack.shape == (len(metrics), NBLADES, NBLADES, NBLADES)
-    for tensor, g in zip(stack, metrics):
-        assert tensor.tobytes() == cl.product_tensor(g).tobytes()
-    # a batch of batches is the same stack
-    nested = cl._structure(np.stack([g.g for g in metrics[:40]]).reshape(5, 8, 4, 4))
-    assert nested.reshape(stack.shape).tobytes() == stack.tobytes()
-
-
 def test_product_table_matches_matrix_representation(mink, basis):
     blades = iso.gamma_blade_matrices(basis)
     for i in range(NBLADES):

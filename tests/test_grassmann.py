@@ -322,7 +322,7 @@ def test_closed_form_operators_equal_loop_oracle(rng):
 
 
 def test_stacked_generator_operators_equal_cached(rng):
-    # the batched build behind the per-metric checks is the cached one per metric
+    # a stack of metrics gives, per metric, the bytes of the cached build
     metrics = preset_metrics() + [random_symmetric_metric(rng) for _ in range(200)]
     stack = np.stack([g.g for g in metrics])
     left = gr._gamma_ops(stack)

@@ -95,9 +95,8 @@ def test_check_keys_and_names_are_unique():
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_memory_stays_bounded(name):
-    # the per-metric checks stack their metrics in bounded batches; stacking
-    # all 100 metrics of clifford.product_associativity at once peaks at
-    # 11 MB.  The caches start empty, so their fills count too.
+    # the checks stack their samples in bounded batches, whatever the sample
+    # count.  The caches start empty, so their fills count too.
     for cache in PER_METRIC_CACHES:
         cache.cache_clear()
     tracemalloc.start()
@@ -107,6 +106,18 @@ def test_suite_memory_stays_bounded(name):
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_a_run_builds_each_per_metric_value_once():
+    # every check judges the context's metric and basis, so a full run misses
+    # each cache once, on them
+    for cache in PER_METRIC_CACHES:
+        cache.cache_clear()
+    ctx = SuiteContext(gr.Metric(NON_DIAGONAL))
+    for name in SUITE_NAMES:
+        run_suite(name, ctx)
+    assert {cache.__name__: cache.cache_info().misses for cache in PER_METRIC_CACHES} == \
+        {cache.__name__: 1 for cache in PER_METRIC_CACHES}
 
 
 def test_per_metric_caches_are_every_cache():
