@@ -88,7 +88,9 @@ class Metric(_ByteKey):
             raise DegenerateMetric(f"|det g| = {abs(det):.3e} below tolerance {self.det_tol:.3e}")
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_det", det)  # not a field: derived from g
+        # not fields: derived from g
+        object.__setattr__(self, "_det", det)
+        object.__setattr__(self, "_largest", float(np.abs(g).max()))
         self._key(g)
 
     @property

@@ -69,32 +69,21 @@ class GammaBasis(_ByteKey):
 
 
 def anticommutator_defect(basis: GammaBasis | Sequence[GammaBasis]) -> float | np.ndarray:
-    """Largest entrywise violation of the metric anticommutation relations.
+    """Largest entrywise violation of the metric anticommutation relations,
+    gammas[mu] gammas[nu] + gammas[nu] gammas[mu] - 2 g[mu, nu] Id over all mu, nu.
 
-    A sequence of bases gives an array, one value per basis.
+    A sequence of bases gives an array, one value per basis.  One pair at a
+    time keeps the memory to one stack; each unordered pair is taken once,
+    since the sum is symmetric in mu and nu.
     """
     bases = [basis] if isinstance(basis, GammaBasis) else basis
-    worst = _anticommutator_worst(np.stack([b.gammas for b in bases]),
-                                  np.stack([b.metric.g for b in bases]))
-    return float(worst[0]) if isinstance(basis, GammaBasis) else worst
-
-
-def _anticommutator_worst(gens: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Per metric of the (metrics, 4, 4) stack ``g``, the largest entry of
-    gens[mu] gens[nu] + gens[nu] gens[mu] - 2 g[mu, nu] Id over all mu, nu.
-
-    ``gens`` is the (metrics, 4, d, d) stack of the four generators of any
-    representation, one set per metric.  One pair at a time keeps the memory
-    to one stack; each unordered pair is taken once, since the sum is
-    symmetric in mu and nu.
-    """
-    one = np.eye(gens.shape[-1])
-    worst = np.zeros(len(g))
+    gens = np.stack([b.gammas for b in bases])
+    g = np.stack([b.metric.g for b in bases])
+    one, worst = np.eye(4), np.zeros(len(bases))
     for mu, nu in itertools.combinations_with_replacement(range(DIM), 2):
-        ac = (gens[:, mu] @ gens[:, nu] + gens[:, nu] @ gens[:, mu]
-              - 2.0 * g[:, mu, nu, None, None] * one)
-        worst = np.maximum(worst, np.abs(ac).reshape(len(g), -1).max(axis=1))
-    return worst
+        ac = gens[:, mu] @ gens[:, nu] + gens[:, nu] @ gens[:, mu] - 2.0 * g[:, mu, nu, None, None] * one
+        worst = np.maximum(worst, np.abs(ac).reshape(len(bases), -1).max(axis=1))
+    return float(worst[0]) if isinstance(basis, GammaBasis) else worst
 
 
 def dirac_matrices(g: Metric) -> GammaBasis:

@@ -12,7 +12,7 @@ A declaration holds:
   (``None`` where the sample set is fixed and ``--samples`` does not apply);
 * ``tol``, the threshold: a residual's default tolerance, which ``--tol``
   replaces, or a separation's fixed bound (``None`` where the check requires
-  an exact zero, as counts and rank deficits do);
+  an exact zero, as a count of missing solution dimensions does);
 * ``trials(ctx, rng, n)``, which draws the samples from ``rng`` in a fixed
   order and yields one value per sample judged; a sample it cannot judge,
   such as a degenerate draw, yields nothing.  A check draws its samples in
@@ -63,7 +63,7 @@ from . import grassmann as gr
 from . import isomorphisms as iso
 from . import transforms as tr
 from ._tables import BLADE_BITS, BLADES_BY_GRADE, GRADE, NBLADES, TOP
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, LiftNotFound, NotIsometry
 from .report import FAIL, PASS, CheckResult
 
 
@@ -168,41 +168,16 @@ def _well_conditioned_map(rng: np.random.Generator) -> np.ndarray:
 # grassmann
 
 
-def _generator_anticommutator(ctx, rng, n):
-    yield from iso._anticommutator_worst(gr._gamma_ops_cached(ctx.metric)[None], ctx.metric.g[None])
-
-
 def _wedge_associativity(ctx, rng, n):
     for size in _chunks(n):
         a, b, c = map(gr.GrassmannElement, _complex_draws(rng, size, *[(NBLADES,)] * 3))
         yield from _rowmax(gr.wedge(gr.wedge(a, b), c).coeffs - gr.wedge(a, gr.wedge(b, c)).coeffs)
 
 
-def _grade_shift(ctx, rng, n):
-    # the largest coefficient outside grade k + 1 of the raised element and
-    # outside grade k - 1 of the lowered one
-    for k in range(5):
-        omega, v = _complex_draws(rng, 10, (NBLADES,), (4,))
-        omega = gr.GrassmannElement(np.where(GRADE == k, omega, 0))
-        raised = _rowmax(gr.delta(v, omega).coeffs[:, GRADE != k + 1])
-        lowered = _rowmax(gr.delta_star(v, omega, ctx.metric).coeffs[:, GRADE != k - 1])
-        for pair in zip(raised, lowered):
-            yield from pair
-
-
-def _hodge_rank_deficit(ctx, rng, n):
-    yield NBLADES - np.linalg.matrix_rank(gr.hodge_matrix(ctx.metric))
-
-
 def _double_star_sign(ctx, rng, n):
     # on grade k the double star is (-1)^(k(4-k)) sign(det g) times the identity
     h = gr.hodge_matrix(ctx.metric)
     yield _maxabs(h @ h - np.diag((-1.0) ** (GRADE * (4 - GRADE)) * np.sign(ctx.metric.det)))
-
-
-def _double_star_detail(ctx):
-    scalars = gr.star_star_scalars(ctx.metric)
-    return "double star per grade: " + ", ".join(f"{s:+.6g}" for s in scalars)
 
 
 def _contraction_vs_vee(ctx, rng, n):
@@ -225,14 +200,6 @@ def _ratio_detail(ctx):
     return "ratio per grade: " + ", ".join(f"{s:+.6g}" for s in table[1:])
 
 
-def _left_right_commutation(ctx, rng, n):
-    for mu in range(4):
-        left = gr.gamma_op(mu, ctx.metric)
-        for nu in range(4):
-            right = gr.right_gamma_op(nu, ctx.metric)
-            yield _maxabs(left @ right - right @ left)
-
-
 # ---------------------------------------------------------------------------
 # clifford
 
@@ -253,13 +220,6 @@ def _reversion(ctx, rng, n):
         lhs = cl.reversion(cl.geometric_product(a, b, g))
         rhs = cl.geometric_product(cl.reversion(b), cl.reversion(a), g)
         yield from _rowmax(lhs.coeffs - rhs.coeffs)
-
-
-def _even_closure(ctx, rng, n):
-    for size in _chunks(n):
-        a, b = (cl.even_part(cl.CliffordElement(x))
-                for x in _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
-        yield from cl.odd_part(cl.geometric_product(a, b, ctx.metric)).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +249,6 @@ def _matrix_representation(ctx, rng, n):
         a, b = map(cl.CliffordElement, _complex_draws(rng, size, (NBLADES,), (NBLADES,)))
         lhs = iso.clifford_to_matrix(cl.geometric_product(a, b, g), basis)
         yield from _rowmax(lhs - iso.clifford_to_matrix(a, basis) @ iso.clifford_to_matrix(b, basis))
-
-
-def _matrix_basis_rank_deficit(ctx, rng, n):
-    blades = iso.gamma_blade_matrices(ctx.basis)
-    yield NBLADES - np.linalg.matrix_rank(blades.reshape(NBLADES, 16))
 
 
 def _matrix_wedge(ctx, rng, n):
@@ -427,7 +382,11 @@ def _proposition_non_isometry(ctx, rng, n):
 def _lift_grade_leak(ctx, rng, n):
     a = tr.random_lorentz(rng, ctx.metric)
     basis = ctx.basis
-    yield tr.grade_leakage(tr.spin_lift(a, basis).matrix, basis), a
+    try:
+        leak = tr.grade_leakage(tr.spin_lift(a, basis).matrix, basis)
+    except (NotIsometry, LiftNotFound):  # as in a stack: NaN, and the map is recorded
+        leak = math.nan
+    yield leak, a
 
 
 def _even_element_grade_leak(ctx, rng, n):
@@ -558,7 +517,6 @@ CHECKS = (
     Check("clifford", "product_associativity", "clifford.assoc", 100, 1e-11,
           _product_associativity),
     Check("clifford", "reversion_antiautomorphism", "clifford.reversion", 50, 1e-11, _reversion),
-    Check("clifford", "even_subalgebra_closure", "clifford.even", 50, 1e-12, _even_closure),
 
     Check("dirac", "symbol_squares_to_metric_norm", "dirac.square", 50, 1e-11, _symbol_square),
     Check("dirac", "hodge_dirac_squares_to_metric_norm", "dirac.hsquare", 50, 1e-11,
@@ -575,23 +533,15 @@ CHECKS = (
     Check("dirac", "generic_map_mixes_product_states", "dirac.entangle", 20, 1e-3,
           _non_isometry_mixing, inputs="A", at_least=True),
 
-    Check("grassmann", "generator_anticommutator", None, None, 1e-12, _generator_anticommutator),
     Check("grassmann", "wedge_associativity", "grassmann.wedge_assoc", 100, 1e-12,
           _wedge_associativity),
-    Check("grassmann", "grade_shift", "grassmann.grade_shift", None, None, _grade_shift,
-          detail="raising/lowering exact on homogeneous input"),
-    Check("grassmann", "hodge_bijection", None, None, None, _hodge_rank_deficit,
-          detail=_double_star_detail),
     Check("grassmann", "double_star_is_per_grade_sign", None, None, 1e-10, _double_star_sign),
     Check("grassmann", "contraction_vs_vee_stable", "grassmann.vee", 50, 1e-10,
           _contraction_vs_vee, detail=_ratio_detail),
-    Check("grassmann", "left_right_commutation", None, None, 1e-12, _left_right_commutation),
 
     Check("iso", "two_sided_intertwining", "iso.lmr", 100, 1e-11, _two_sided_intertwining),
     Check("iso", "left_right_images_commute", "iso.commute", 50, 1e-11, _left_right_commute),
     Check("iso", "matrix_representation", "iso.matrixrep", 100, 1e-11, _matrix_representation),
-    Check("iso", "matrix_basis_rank", None, None, None, _matrix_basis_rank_deficit,
-          detail="the 16 blade matrices span Mat(4)"),
     Check("iso", "matrix_wedge_rules", "iso.matrixwedge", 50, 1e-11, _matrix_wedge,
           detail="nilpotent generators, unit law, associativity"),
     Check("iso", "gamma_basis_factorization", "iso.factorization", 20, 1e-11,

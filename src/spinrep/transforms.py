@@ -45,14 +45,24 @@ def isometry_defect(a: np.ndarray, g: Metric) -> float | np.ndarray:
     not finite, since no comparison can judge that defect.
     """
     a = np.asarray(a, dtype=np.float64)
-    if not np.isfinite(a).all():
+    largest = float(np.abs(a).max(initial=0.0))  # NaN or inf when an entry is not finite
+    if not largest < np.inf:
         raise NotIsometry("map entries must be finite")
-    defect = _defects(a, g.g)
+    defect = _defects(a, g, largest)
     return float(defect) if defect.ndim == 0 else defect
 
 
-def _defects(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.abs(a.mT @ g @ a - g).max(axis=(-2, -1))
+def _defects(a: np.ndarray, g: Metric, largest: float) -> np.ndarray:
+    """The isometry defect of each finite map of ``a``, whose entries are at
+    most ``largest`` in size.  An entry of A^T g A is at most 16 largest^2
+    times the largest entry of g.  Where that could overflow, the product is
+    taken with its overflow ignored, so that the defect reads inf or NaN and
+    fails any tolerance; ``np.errstate`` costs about 2 us, so a map of
+    ordinary size skips it."""
+    if (16.0 * largest * largest + 1.0) * g._largest < 1e308:
+        return np.abs(a.mT @ g.g @ a - g.g).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(a.mT @ g.g @ a - g.g).max(axis=(-2, -1))
 
 
 def metric_pullback(a: np.ndarray, g: Metric) -> Metric:
@@ -225,7 +235,7 @@ def _lift_stack(a: np.ndarray, basis: GammaBasis, isometry_tol: float = DEFAULT_
         # in for it, so that the solve below stays finite
         finite = np.isfinite(a).all(axis=(-2, -1))
         a = np.where(finite[..., None, None], a, _EYE4)
-        failed = ~(finite & (_defects(a, g.g) < isometry_tol))
+        failed = ~(finite & (_defects(a, g, float(np.abs(a).max(initial=0.0))) < isometry_tol))
         a = np.where(failed[..., None, None], _EYE4, a)
     else:
         defect = isometry_defect(a, g)

@@ -75,9 +75,11 @@ def test_rest_frame_solutions(mink, basis):
 
 
 def test_mismatched_mass_gives_empty_space(basis):
-    sols = dr.plane_wave_solutions(np.array([1, 0, 0, 0], complex), 2.0, basis)
-    assert sols.column_dimension == 0
-    assert sols.matrix_basis.shape == (0, 4, 4)
+    # the symbol's eigenvalues are +-1, and 1 + 1e-6 is no eigenvalue either
+    for m in (2.0, 1.0 + 1e-6):
+        sols = dr.plane_wave_solutions(np.array([1, 0, 0, 0], complex), m, basis)
+        assert sols.column_dimension == 0
+        assert sols.matrix_basis.shape == (0, 4, 4)
 
 
 def test_solution_dimensions_match_null_space_oracle(mink, basis, rng):

@@ -178,16 +178,15 @@ def test_delta_star_full_metric_row(rng):
 
 
 def test_grade_shift_structure(mink, rng):
-    for k in range(5):
-        coeffs = np.where(GRADE == k, random_element_coeffs(rng), 0)
-        omega = gr.GrassmannElement(coeffs)
-        v = rng.normal(size=4)
-        up = gr.delta(v, omega)
-        down = gr.delta_star(v, omega, mink)
-        if up.norm() > 1e-12:
-            assert up.grades(1e-13) == (k + 1,)
-        if down.norm() > 1e-12:
-            assert down.grades(1e-13) == (k - 1,)
+    # exact on every metric: a grade-k input has no coefficient outside grade
+    # k + 1 when raised and k - 1 when lowered
+    for g in [mink] + [random_symmetric_metric(rng) for _ in range(20)]:
+        for k in range(5):
+            coeffs = np.where(GRADE == k, random_element_coeffs(rng), 0)
+            omega = gr.GrassmannElement(coeffs)
+            v = rng.normal(size=4)
+            assert gr.delta(v, omega).grades() == ((k + 1,) if k < 4 else ())
+            assert gr.delta_star(v, omega, g).grades() == ((k - 1,) if k > 0 else ())
 
 
 def test_degenerate_metric_raises():

@@ -234,9 +234,10 @@ def test_matrix_representation_homomorphism(mink, basis, rng):
     assert worst < 1e-11
 
 
-def test_matrix_basis_rank_16(basis):
-    flat = iso.gamma_blade_matrices(basis).reshape(NBLADES, 16)
-    assert np.linalg.matrix_rank(flat) == NBLADES
+def test_matrix_basis_rank_16(basis, rng):
+    for b in [basis] + [iso.dirac_matrices(random_symmetric_metric(rng)) for _ in range(20)]:
+        flat = iso.gamma_blade_matrices(b).reshape(NBLADES, 16)
+        assert np.linalg.matrix_rank(flat) == NBLADES
 
 
 def test_matrix_roundtrip(basis, rng):

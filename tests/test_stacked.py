@@ -145,7 +145,8 @@ def test_stacked_actions_and_residuals_equal_per_map(mink, basis, rng):
 
 
 @pytest.mark.parametrize("bad", [np.diag([1.0, 2.0, 1.0, 1.0]), np.full((4, 4), np.nan),
-                                 np.diag([np.inf, 1.0, 1.0, 1.0])], ids=["non-isometry", "nan", "inf"])
+                                 np.diag([np.inf, 1.0, 1.0, 1.0]), 1e300 * np.eye(4)],
+                         ids=["non-isometry", "nan", "inf", "overflow"])
 def test_one_failing_map_fails_only_itself_and_is_recorded(bad, mink, basis, rng):
     maps = tr.random_lorentz(rng, mink, (7,))
     maps[4] = bad

@@ -148,8 +148,8 @@ def test_non_finite_map_is_not_an_isometry(a, basis):
             call()
 
 
-@pytest.mark.parametrize("a", [np.diag([1.0, 2.0, 1.0, 1.0]), np.full((4, 4), 1e150)],
-                         ids=["stretch", "large"])
+@pytest.mark.parametrize("a", [np.diag([1.0, 2.0, 1.0, 1.0]), np.full((4, 4), 1e150), 1e300 * np.eye(4)],
+                         ids=["stretch", "large", "overflow"])
 def test_non_isometry_raises_before_the_solve(a, basis, monkeypatch):
     # a single map that is not an isometry never reaches LAPACK
     def solve(*args, **kwargs):
